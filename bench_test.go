@@ -11,6 +11,7 @@ package nose_test
 //	go test -bench=Fig11 -users-scale 20000   (via cmd/nosebench instead)
 
 import (
+	"context"
 	"testing"
 
 	"nose/internal/baselines"
@@ -159,7 +160,7 @@ func BenchmarkEnumerationRUBiS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enumerator.EnumerateWorkload(w); err != nil {
+		if _, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +188,7 @@ func BenchmarkAdvisorEnumeration(b *testing.B) {
 	for _, workers := range workerCounts {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := enumerator.EnumerateWorkloadParallel(w, enumerator.Features{}, workers); err != nil {
+				if _, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -202,7 +203,7 @@ func BenchmarkAdvisorEnumeration(b *testing.B) {
 // stage.
 func BenchmarkAdvisorFormulation(b *testing.B) {
 	w := rubisWorkload(b)
-	enumRes, err := enumerator.EnumerateWorkload(w)
+	enumRes, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func BenchmarkAdvisorFormulation(b *testing.B) {
 // (search.Prepare), then each iteration re-runs the solves.
 func BenchmarkAdvisorSolve(b *testing.B) {
 	w := rubisWorkload(b)
-	enumRes, err := enumerator.EnumerateWorkload(w)
+	enumRes, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func BenchmarkAdvisorLargeRandwork(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enumRes, err := enumerator.EnumerateWorkload(w)
+	enumRes, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package enumerator_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -230,7 +231,7 @@ func TestEnumerateWorkloadAlgorithm1(t *testing.T) {
 	w.Add(workload.MustParseQuery(g, hotel.ExampleQuery), 0.8)
 	w.Add(workload.MustParse(g, `UPDATE Guest SET GuestName = ? WHERE Guest.GuestID = ?`), 0.2)
 
-	res, err := enumerator.EnumerateWorkload(w)
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

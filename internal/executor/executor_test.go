@@ -1,6 +1,7 @@
 package executor_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -353,7 +354,7 @@ type testEnumeration struct {
 }
 
 func enumerateForTest(w *workload.Workload) (*testEnumeration, error) {
-	res, err := enumerator.EnumerateWorkload(w)
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		return nil, err
 	}

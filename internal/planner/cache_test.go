@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func hotelQueries(t *testing.T) (*workload.Workload, []*workload.Query) {
 // must produce bit-identical plan spaces — signatures, costs, and rows.
 func TestCachedPlansIdentical(t *testing.T) {
 	w, qs := hotelQueries(t)
-	res, err := enumerator.EnumerateWorkload(w)
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestCachedPlansIdentical(t *testing.T) {
 // a second planner over the same pool from warm entries.
 func TestCacheSharedAcrossPlanners(t *testing.T) {
 	w, qs := hotelQueries(t)
-	res, err := enumerator.EnumerateWorkload(w)
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

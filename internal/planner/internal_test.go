@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"testing"
 
 	"nose/internal/cost"
@@ -48,7 +49,7 @@ func TestEstimateMonotonicInDrivingRows(t *testing.T) {
 	w := workload.New(g)
 	q := workload.MustParseQuery(g, hotel.ExampleQuery)
 	w.Add(q, 1)
-	res, err := enumerator.EnumerateWorkload(w)
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestPruneChainsKeepsCheapest(t *testing.T) {
 	w := workload.New(g)
 	q := workload.MustParseQuery(g, hotel.ExampleQuery)
 	w.Add(q, 1)
-	res, err := enumerator.EnumerateWorkload(w)
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestEnrichBetterOrdering(t *testing.T) {
 	w := workload.New(g)
 	q := workload.MustParseQuery(g, hotel.ExampleQuery)
 	w.Add(q, 1)
-	res, _ := enumerator.EnumerateWorkload(w)
+	res, _ := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	guest := g.MustEntity("Guest")
 	// Among pool candidates keyed by GuestID, the tightest (fanout 1)
 	// must win enrichBetter against any wider one.

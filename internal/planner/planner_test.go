@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // planner over the pool.
 func fixture(t *testing.T, w *workload.Workload) (*planner.Planner, *enumerator.Result) {
 	t.Helper()
-	res, err := enumerator.EnumerateWorkload(w)
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
