@@ -92,17 +92,20 @@ func (s *Span) SetArg(key string, value any) *Span {
 	return s
 }
 
-// End closes the span and records it.
-func (s *Span) End() {
+// End closes the span, records it, and returns its duration exactly as
+// recorded (whole microseconds). A nil span records nothing and
+// returns 0.
+func (s *Span) End() time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
-	end := time.Since(s.t.start)
+	dur := (time.Since(s.t.start) - s.begin).Truncate(time.Microsecond)
 	s.t.add(event{
 		Name: s.name, Cat: s.cat, Ph: "X", Pid: WallPID, Tid: s.tid,
-		Ts: float64(s.begin.Microseconds()), Dur: float64((end - s.begin).Microseconds()),
+		Ts: float64(s.begin.Microseconds()), Dur: float64(dur.Microseconds()),
 		Args: s.args,
 	})
+	return dur
 }
 
 // SimEvent records one completed event on the simulated timeline:

@@ -3,12 +3,13 @@
 // family selection as a binary integer program, solves it in two phases
 // (minimum workload cost, then fewest column families at that cost),
 // and extracts the recommended schema plus one implementation plan per
-// statement.
+// statement. A time-dependent workload runs the same pipeline over all
+// of its phases in one program linked by migration charges
+// (AdviseSeries); Advise is its one-phase case.
 package search
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"nose/internal/bip"
@@ -177,129 +178,142 @@ func (opt Options) withDefaults() Options {
 }
 
 // Advise runs the full pipeline on a workload and returns the
-// recommendation.
+// recommendation. It is the one-phase case of AdviseSeries: the same
+// stages over one phase of share 1, with no migration links and a
+// second solver phase that keeps the fewest column families at the
+// optimal cost.
 func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
-	opt = opt.withDefaults()
-	start := time.Now()
-	rec := &Recommendation{}
-	root := opt.Trace.Begin("advise", "advisor")
-	defer root.End()
-	cacheBefore := opt.Planner.Cache.Stats()
-	defer publishRun(opt, rec, cacheBefore)
-
-	// Candidate enumeration (Algorithm 1).
-	t := time.Now()
-	sp := opt.Trace.Begin("enumerate", "advisor")
-	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, w, opt.Enumerator, opt.Workers, opt.Obs)
+	sr, err := advise("advise", w, nil, opt)
 	if err != nil {
 		return nil, err
 	}
-	rec.Timings.Enumeration = time.Since(t)
-	rec.Stats.Candidates = enumRes.Pool.Len()
-	sp.SetArg("candidates", rec.Stats.Candidates).End()
-	opt.Obs.Counter("search.candidates").Add(int64(rec.Stats.Candidates))
-
-	// Plan-space generation and cost estimation.
-	t = time.Now()
-	sp = opt.Trace.Begin("plan-spaces", "advisor")
-	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
-	b, err := newBuilder(w, pl, enumRes, opt)
-	if err != nil {
-		return nil, err
-	}
-	rec.Timings.CostCalculation = time.Since(t)
-	sp.End()
-
-	// Phase 1: minimize weighted workload cost.
-	t = time.Now()
-	sp = opt.Trace.Begin("formulate", "advisor")
-	prog1, refs1 := b.formulate(nil)
-	rec.Timings.BIPConstruction = time.Since(t)
-	rec.Stats.PlanVariables = len(refs1.planCols)
-	rec.Stats.Constraints = prog1.NumRows()
-	sp.SetArg("plan_variables", rec.Stats.PlanVariables).
-		SetArg("constraints", rec.Stats.Constraints).End()
-	opt.Obs.Counter("search.plan_variables").Add(int64(rec.Stats.PlanVariables))
-	opt.Obs.Counter("search.constraints").Add(int64(rec.Stats.Constraints))
-
-	phase1Opts := opt.BIP
-	phase1Opts.Incumbent = b.greedyIncumbent(prog1, refs1)
-	t = time.Now()
-	sp = opt.Trace.Begin("solve phase 1", "advisor")
-	res1, err := prog1.Solve(phase1Opts)
-	rec.Timings.BIPSolving = time.Since(t)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("search: phase 1 solve: %w", err)
-	}
-	sp.SetArg("nodes", res1.Nodes).End()
-	if !res1.HasSolution {
-		return nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
-	}
-	rec.Stats.Nodes = res1.Nodes
-	rec.Cost = res1.Objective
-	chosen := res1
-
-	// Phase 2: among minimum-cost schemas, prefer the fewest column
-	// families (paper §V).
-	if !opt.SkipMinimizeSchema {
-		t = time.Now()
-		sp = opt.Trace.Begin("formulate phase 2", "advisor")
-		pin := res1.Objective
-		prog2, refs2 := b.formulate(&pin)
-		rec.Timings.BIPConstruction += time.Since(t)
-		sp.End()
-
-		phase2Opts := opt.BIP
-		phase2Opts.Incumbent = res1.X
-		t = time.Now()
-		sp = opt.Trace.Begin("solve phase 2", "advisor")
-		res2, err := prog2.Solve(phase2Opts)
-		rec.Timings.BIPSolving += time.Since(t)
-		sp.End()
-		if err == nil && res2.HasSolution {
-			chosen = res2
-			refs1 = refs2
-			rec.Stats.Nodes += res2.Nodes
-		}
-	}
-
-	opt.Obs.Counter("search.plans_pruned_dominated").Add(int64(b.prunedPlans))
-	opt.Obs.Counter("search.cuts").Add(int64(b.cuts))
-
-	// Extraction.
-	t = time.Now()
-	sp = opt.Trace.Begin("extract", "advisor")
-	if err := b.extract(chosen, refs1, rec); err != nil {
-		sp.End()
-		return nil, err
-	}
-	rec.Timings.Other = time.Since(t)
-	rec.Timings.Total = time.Since(start)
-	sp.End()
-	return rec, nil
+	return sr.Phases[0].Rec, nil
 }
 
-// publishRun records the run-level metrics that are only known at the
-// end: solver node totals, wall-clock stage gauges, and the cost-cache
-// deltas. Cache counters are volatile — racing planner workers can both
-// miss the same key — and deltas (not absolutes) are recorded so a
-// caller-supplied cache reused across runs is not double counted.
-func publishRun(opt Options, rec *Recommendation, cacheBefore cost.CacheStats) {
+// advise is the one advisor pipeline behind Advise and AdviseSeries:
+// enumerate candidates once, then plan, formulate, solve and extract
+// every phase of w in one program (w itself when phases is empty). root
+// names the run's root span.
+func advise(root string, w *workload.Workload, phases []*workload.Phase, opt Options) (*SeriesRecommendation, error) {
+	opt = opt.withDefaults()
+	sr := &SeriesRecommendation{}
+	var p *Prepared
+	run := opt.stage(root, &sr.Timings.Total)
+	cacheBefore := opt.Planner.Cache.Stats()
+	defer func() {
+		run.End()
+		if len(sr.Phases) == 1 {
+			sr.Phases[0].Rec.Timings = sr.Timings
+		}
+		publish(opt, sr, p, cacheBefore)
+	}()
+
+	// Candidate enumeration (Algorithm 1), once over the union of all
+	// phases: every statement active in any phase, at its maximum phase
+	// weight. Weights only matter for which statements appear; per-phase
+	// weights are applied when planning.
+	enumW := w
+	switch {
+	case len(phases) == 1:
+		enumW = w.ForPhase(phases[0])
+	case len(phases) > 1:
+		enumW = unionWorkload(w)
+	}
+	st := opt.stage("enumerate", &sr.Timings.Enumeration)
+	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, enumW, opt.Enumerator, opt.Workers, opt.Obs)
+	if err == nil {
+		sr.Stats.Candidates = enumRes.Pool.Len()
+		st.SetArg("candidates", sr.Stats.Candidates)
+	}
+	st.End()
+	if err != nil {
+		return nil, err
+	}
+
+	if p, err = prepare(opt, w, phases, enumRes, &sr.Timings, &sr.Stats); err != nil {
+		return nil, err
+	}
+	sol, err := p.solve()
+	if err != nil {
+		return nil, err
+	}
+	st = opt.stage("extract", &sr.Timings.Other)
+	err = p.extract(sol, sr)
+	st.End()
+	if err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// stage is one timed advisor stage: a span when a tracer is attached,
+// and a Timings field that receives the stage's wall time whether or
+// not one is.
+type stage struct {
+	*obs.Span
+	start time.Time
+	into  *time.Duration
+}
+
+// stage opens an advisor stage named name that adds its time to *into.
+func (opt Options) stage(name string, into *time.Duration) stage {
+	return stage{Span: opt.Trace.Begin(name, "advisor"), start: time.Now(), into: into}
+}
+
+// End closes the stage. With a tracer attached the span's recorded
+// duration is the one added, so Timings and the trace agree exactly.
+func (s stage) End() {
+	if s.Span == nil {
+		*s.into += time.Since(s.start)
+		return
+	}
+	*s.into += s.Span.End()
+}
+
+// publish records the run-level metrics: problem sizes, solver nodes,
+// dominance prunes and cuts (p is nil when the run stopped before
+// planning), the migration schedule, wall-clock stage gauges, and the
+// cost-cache deltas. Cache counters are volatile — racing planner
+// workers can both miss the same key — and deltas (not absolutes) are
+// recorded so a caller-supplied cache reused across runs is not double
+// counted.
+func publish(opt Options, sr *SeriesRecommendation, p *Prepared, cacheBefore cost.CacheStats) {
 	if opt.Obs == nil {
 		return
 	}
-	opt.Obs.Counter("search.nodes").Add(int64(rec.Stats.Nodes))
-	opt.Obs.Counter("search.advise_runs").Inc()
+	c := func(name string, v int) { opt.Obs.Counter(name).Add(int64(v)) }
+	c("search.advise_runs", 1)
+	c("search.phases", len(sr.Phases))
+	c("search.candidates", sr.Stats.Candidates)
+	c("search.plan_variables", sr.Stats.PlanVariables)
+	c("search.constraints", sr.Stats.Constraints)
+	c("search.nodes", sr.Stats.Nodes)
+	pruned, cuts := 0, 0
+	if p != nil {
+		for _, b := range p.builders {
+			pruned += b.prunedPlans
+			cuts += b.cuts
+		}
+	}
+	c("search.plans_pruned_dominated", pruned)
+	c("search.cuts", cuts)
+	migrations := 0
+	for t, pr := range sr.Phases {
+		if t > 0 && len(pr.Build) > 0 {
+			migrations++
+		}
+	}
+	c("search.migrations", migrations)
+	opt.Obs.Gauge("search.migration_cost").Add(sr.MigrationCost)
 
 	g := func(name string, d time.Duration) {
 		opt.Obs.Gauge(name).Add(float64(d.Nanoseconds()) / 1e6)
 	}
-	g("search.wall_ms.enumeration", rec.Timings.Enumeration)
-	g("search.wall_ms.cost_calculation", rec.Timings.CostCalculation)
-	g("search.wall_ms.bip_construction", rec.Timings.BIPConstruction)
-	g("search.wall_ms.bip_solving", rec.Timings.BIPSolving)
-	g("search.wall_ms.total", rec.Timings.Total)
+	g("search.wall_ms.enumeration", sr.Timings.Enumeration)
+	g("search.wall_ms.cost_calculation", sr.Timings.CostCalculation)
+	g("search.wall_ms.bip_construction", sr.Timings.BIPConstruction)
+	g("search.wall_ms.bip_solving", sr.Timings.BIPSolving)
+	g("search.wall_ms.total", sr.Timings.Total)
 
 	after := opt.Planner.Cache.Stats()
 	opt.Obs.VolatileCounter("cost.cache.hits").Add(int64(after.Hits - cacheBefore.Hits))

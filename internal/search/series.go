@@ -2,17 +2,10 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"time"
 
-	"nose/internal/bip"
-	"nose/internal/cost"
-	"nose/internal/enumerator"
-	"nose/internal/lp"
 	"nose/internal/migrate"
-	"nose/internal/planner"
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
@@ -62,156 +55,26 @@ type SeriesRecommendation struct {
 
 // AdviseSeries solves the multi-interval schema problem for a workload
 // with phases (paper extension: Wakuta & Mior et al., "NoSQL Schema
-// Design for Time-Dependent Workloads"). Candidates are enumerated once
-// over the union of all phases; each phase then gets its own plan
-// spaces and its own presence and plan-choice variables in one joint
-// BIP, with adjacent phases linked by migration variables
+// Design for Time-Dependent Workloads"). It runs Advise's pipeline over
+// every phase at once: candidates are enumerated once over the union of
+// all phases; each phase then gets its own plan spaces and its own
+// presence and plan-choice variables in one joint BIP, with objective
+// coefficients scaled by the phase's share of the timeline and adjacent
+// phases linked by migration variables priced at the estimated cost of
+// building each column family (see formulate). Minimizing workload cost
+// plus migration charges decides both the per-phase schemas and when
+// changing them pays for itself.
 //
-//	y[t][i] − y[t−1][i] − m[t][i] ≤ 0
-//
-// whose objective coefficient is the estimated cost of building column
-// family i from the base data (migrate.BuildCost, derived from the
-// schema size statistics). Minimizing workload cost plus migration
-// charges decides both the per-phase schemas and when changing them
-// pays for itself.
-//
-// A workload with zero or one phase delegates to Advise — the series
-// machinery reduces exactly to the static problem — so the result is
-// bit-identical to the single-schema advisor and no migration is
-// charged (there is no series decision for it to influence). Like
-// Advise, the result is bit-identical for every worker count.
+// A workload with zero or one phase is the static problem Advise
+// solves, so the result is bit-identical to the single-schema advisor
+// and no migration is charged (there is no series decision for it to
+// influence). Like Advise, the result is bit-identical for every worker
+// count.
 func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, error) {
 	if err := w.ValidatePhases(); err != nil {
 		return nil, err
 	}
-	if len(w.Phases) <= 1 {
-		return adviseSingleSeries(w, opt)
-	}
-	opt = opt.withDefaults()
-	mig := opt.Migration
-	if mig == (migrate.CostParams{}) {
-		mig = migrate.DefaultCostParams()
-	}
-
-	start := time.Now()
-	sr := &SeriesRecommendation{}
-	root := opt.Trace.Begin("advise-series", "advisor")
-	defer root.End()
-	cacheBefore := opt.Planner.Cache.Stats()
-	defer publishSeries(opt, sr, cacheBefore)
-
-	// Enumerate once over the union workload: every statement active in
-	// any phase, at its maximum phase weight. Weights only matter for
-	// which statements appear; per-phase weights are applied below.
-	t0 := time.Now()
-	sp := opt.Trace.Begin("enumerate", "advisor")
-	union := unionWorkload(w)
-	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, union, opt.Enumerator, opt.Workers, opt.Obs)
-	if err != nil {
-		return nil, err
-	}
-	sr.Timings.Enumeration = time.Since(t0)
-	sr.Stats.Candidates = enumRes.Pool.Len()
-	sp.SetArg("candidates", sr.Stats.Candidates).End()
-
-	// One planner (and one cost cache) across all phases: schema.Index
-	// pointers are shared, so column family identity — and naming — is
-	// stable across the series.
-	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
-
-	t0 = time.Now()
-	sb := &seriesBuilder{w: w, opt: opt, mig: mig}
-	total := w.TotalDuration()
-	for i, p := range w.Phases {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-		psp := opt.Trace.Begin(fmt.Sprintf("plan-spaces phase %d", i), "advisor")
-		b, err := newBuilder(w.ForPhase(p), pl, enumRes, opt)
-		if err != nil {
-			psp.End()
-			return nil, fmt.Errorf("search: phase %q: %w", p.Name, err)
-		}
-		b.paidAll = true
-		sb.builders = append(sb.builders, b)
-		sb.shares = append(sb.shares, p.EffectiveDuration()/total)
-		psp.End()
-	}
-	sr.Timings.CostCalculation = time.Since(t0)
-
-	t0 = time.Now()
-	sp = opt.Trace.Begin("formulate series", "advisor")
-	sb.formulate()
-	sr.Timings.BIPConstruction = time.Since(t0)
-	for _, refs := range sb.refs {
-		sr.Stats.PlanVariables += len(refs.planCols)
-	}
-	sr.Stats.Constraints = sb.prog.NumRows()
-	sp.SetArg("plan_variables", sr.Stats.PlanVariables).
-		SetArg("constraints", sr.Stats.Constraints).End()
-
-	solveOpts := opt.BIP
-	solveOpts.Incumbent = sb.greedyIncumbent()
-	t0 = time.Now()
-	sp = opt.Trace.Begin("solve series", "advisor")
-	res, err := sb.prog.Solve(solveOpts)
-	sr.Timings.BIPSolving = time.Since(t0)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("search: series solve: %w", err)
-	}
-	sp.SetArg("nodes", res.Nodes).End()
-	if !res.HasSolution {
-		return nil, fmt.Errorf("search: series %v: no feasible schema series", res.Status)
-	}
-	sr.Stats.Nodes = res.Nodes
-	var pruned, cuts int
-	for _, b := range sb.builders {
-		pruned += b.prunedPlans
-		cuts += b.cuts
-	}
-	opt.Obs.Counter("search.plans_pruned_dominated").Add(int64(pruned))
-	opt.Obs.Counter("search.cuts").Add(int64(cuts))
-
-	// Extraction: the series follows the solver's presence assignment
-	// literally, so the migrations reported (and later executed) are
-	// exactly the ones the objective charged. There is no second
-	// minimize-schema pass: with migration charges in the objective,
-	// gratuitous families already cost their build.
-	t0 = time.Now()
-	sp = opt.Trace.Begin("extract series", "advisor")
-	if err := sb.extract(res, sr); err != nil {
-		sp.End()
-		return nil, err
-	}
-	sr.Timings.Other = time.Since(t0)
-	sr.Timings.Total = time.Since(start)
-	sp.End()
-	return sr, nil
-}
-
-// adviseSingleSeries handles the degenerate zero- or one-phase series
-// by delegating to Advise, guaranteeing bit-identical output to the
-// static advisor.
-func adviseSingleSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, error) {
-	var phase *workload.Phase
-	ww := w
-	if len(w.Phases) == 1 {
-		phase = w.Phases[0]
-		ww = w.ForPhase(phase)
-	}
-	rec, err := Advise(ww, opt)
-	if err != nil {
-		return nil, err
-	}
-	pr := &PhaseRecommendation{Phase: phase, Rec: rec, Build: rec.Schema.Indexes()}
-	return &SeriesRecommendation{
-		Phases:       []*PhaseRecommendation{pr},
-		WorkloadCost: rec.Cost,
-		TotalCost:    rec.Cost,
-		Timings:      rec.Timings,
-		Stats:        rec.Stats,
-	}, nil
+	return advise("advise-series", w, w.Phases, opt)
 }
 
 // unionWorkload flattens a phased workload to the statements active in
@@ -235,273 +98,43 @@ func unionWorkload(w *workload.Workload) *workload.Workload {
 	return u
 }
 
-// seriesBuilder assembles and decodes the joint multi-interval program.
-type seriesBuilder struct {
-	w        *workload.Workload
-	opt      Options
-	mig      migrate.CostParams
-	builders []*builder
-	shares   []float64
-
-	prog *bip.Program
-	refs []*colRefs // per phase; indexCol is that phase's y columns
-
-	// Per-column bookkeeping, indexed by BIP column, appended in
-	// creation order so post-solve sums are accumulated
-	// deterministically.
-	colPhase []int     // owning phase, -1 for none
-	colRaw   []float64 // unscaled in-phase workload cost contribution
-	colMig   []float64 // migration build charge
-
-	migCols []map[string]int // per phase: index ID -> migration column
-}
-
-// addBinary wraps Program.AddBinary, keeping the per-column bookkeeping
-// slices aligned with the program's columns.
-func (sb *seriesBuilder) addBinary(obj float64, phase int, raw, mig float64, entries ...lp.Entry) int {
-	col := sb.prog.AddBinary(obj, entries...)
-	sb.colPhase = append(sb.colPhase, phase)
-	sb.colRaw = append(sb.colRaw, raw)
-	sb.colMig = append(sb.colMig, mig)
-	return col
-}
-
-// formulate builds the joint BIP: per phase, the same presence, plan
-// choice and support-group structure as the static formulation (with
-// every family paid and objective coefficients scaled by the phase's
-// duration share), then one migration variable per (phase, candidate)
-// linking adjacent phases' presence.
-func (sb *seriesBuilder) formulate() {
-	sb.prog = bip.New()
-	for t, b := range sb.builders {
-		share := sb.shares[t]
-		refs := &colRefs{
-			indexCol: map[string]int{},
-			planCols: map[int]planRef{},
-			planCol:  map[*planner.Plan]int{},
-			zCol:     map[*supportGroup]int{},
-		}
-		sb.refs = append(sb.refs, refs)
-
-		storageRow := -1
-		if sb.opt.SpaceBudgetBytes > 0 {
-			storageRow = sb.prog.AddRow(math.Inf(-1), sb.opt.SpaceBudgetBytes/1e6)
-		}
-		for _, x := range b.pool {
-			var entries []lp.Entry
-			if storageRow >= 0 {
-				entries = append(entries, lp.Entry{Row: storageRow, Coef: x.SizeBytes() / 1e6})
-			}
-			raw := b.maint[x.ID()]
-			refs.indexCol[x.ID()] = sb.addBinary(share*raw, t, raw, 0, entries...)
-		}
-		if storageRow >= 0 {
-			var items []budgetCutItem
-			for _, x := range b.pool {
-				items = append(items, budgetCutItem{col: refs.indexCol[x.ID()], sizeMB: x.SizeBytes() / 1e6})
-			}
-			b.cuts += addBudgetCuts(sb.prog, items, sb.opt.SpaceBudgetBytes/1e6)
-		}
-
-		addPlanVars := func(space *planner.PlanSpace, chooseRow int, weight float64, mk func(*planner.Plan) planRef) {
-			linkRow := map[string]int{}
-			var linkOrder []string
-			for _, plan := range space.Plans {
-				entries := []lp.Entry{{Row: chooseRow, Coef: 1}}
-				for _, x := range plan.Indexes() {
-					r, ok := linkRow[x.ID()]
-					if !ok {
-						r = sb.prog.AddRow(math.Inf(-1), 0)
-						linkRow[x.ID()] = r
-						linkOrder = append(linkOrder, x.ID())
-					}
-					entries = append(entries, lp.Entry{Row: r, Coef: 1})
-				}
-				raw := weight * plan.Cost
-				col := sb.addBinary(share*raw, t, raw, 0, entries...)
-				refs.planCols[col] = mk(plan)
-				refs.planCol[plan] = col
-			}
-			sort.Strings(linkOrder)
-			for _, id := range linkOrder {
-				sb.prog.AddColEntry(refs.indexCol[id], linkRow[id], -1)
-			}
-		}
-
-		for _, qb := range b.queries {
-			chooseRow := sb.prog.AddRow(1, 1)
-			qb := qb
-			addPlanVars(qb.space, chooseRow, b.w.Weight(qb.ws), func(pl *planner.Plan) planRef {
-				return planRef{query: qb, plan: pl}
-			})
-		}
-		for _, ub := range b.updates {
-			for _, g := range ub.groups {
-				zCol := sb.addBinary(0, t, 0, 0)
-				refs.zCol[g] = zCol
-				gateRow := sb.prog.AddRow(0, 0)
-				sb.prog.AddColEntry(zCol, gateRow, -1)
-				force := sb.prog.AddRow(math.Inf(-1), 0)
-				sb.prog.AddColEntry(zCol, force, -float64(len(g.indexes)))
-				for _, x := range g.indexes {
-					sb.prog.AddColEntry(refs.indexCol[x.ID()], force, 1)
-				}
-				ub, g := ub, g
-				addPlanVars(g.space, gateRow, b.w.Weight(ub.ws), func(pl *planner.Plan) planRef {
-					return planRef{group: g, ub: ub, plan: pl}
-				})
-			}
-		}
-	}
-
-	// Migration linking: m[t][i] must cover any presence not inherited
-	// from the previous phase. The first phase inherits nothing, so its
-	// whole schema is charged as the initial build.
-	for t, b := range sb.builders {
-		mcols := map[string]int{}
-		sb.migCols = append(sb.migCols, mcols)
-		for _, x := range b.pool {
-			id := x.ID()
-			buildCost := migrate.BuildCost(x, sb.mig)
-			row := sb.prog.AddRow(math.Inf(-1), 0)
-			mcol := sb.addBinary(buildCost, t, 0, buildCost, lp.Entry{Row: row, Coef: -1})
-			mcols[id] = mcol
-			sb.prog.AddColEntry(sb.refs[t].indexCol[id], row, 1)
-			if t > 0 {
-				if prev, ok := sb.refs[t-1].indexCol[id]; ok {
-					sb.prog.AddColEntry(prev, row, -1)
-				}
-			}
-		}
-	}
-}
-
-// greedyIncumbent warm-starts the joint solve: each phase takes its
-// cheapest plans (the static greedy), and migration variables cover the
-// resulting presence transitions.
-func (sb *seriesBuilder) greedyIncumbent() []float64 {
-	x := make([]float64, sb.prog.NumCols())
-	prev := map[string]bool{}
-	for t, b := range sb.builders {
-		refs := sb.refs[t]
-		selected := map[string]bool{}
-		mark := func(pl *planner.Plan) {
-			for _, ix := range pl.Indexes() {
-				selected[ix.ID()] = true
-			}
-		}
-		for _, qb := range b.queries {
-			pl := qb.space.Plans[0]
-			x[refs.planCol[pl]] = 1
-			mark(pl)
-		}
-		chosen := map[*supportGroup]bool{}
-		for changed := true; changed; {
-			changed = false
-			for _, ub := range b.updates {
-				for _, g := range ub.groups {
-					if chosen[g] {
-						continue
-					}
-					forced := false
-					for _, ix := range g.indexes {
-						if selected[ix.ID()] {
-							forced = true
-							break
-						}
-					}
-					if !forced {
-						continue
-					}
-					chosen[g] = true
-					changed = true
-					pl := g.space.Plans[0]
-					x[refs.planCol[pl]] = 1
-					x[refs.zCol[g]] = 1
-					mark(pl)
-				}
-			}
-		}
-		for id := range selected {
-			x[refs.indexCol[id]] = 1
-			if !prev[id] {
-				x[sb.migCols[t][id]] = 1
-			}
-		}
-		prev = selected
-	}
-	return x
-}
-
-// extract decodes the joint solution into per-phase recommendations and
-// the migration schedule, accumulating costs in column order so the
-// reported numbers are bit-identical across runs and worker counts.
-func (sb *seriesBuilder) extract(res *bip.Result, sr *SeriesRecommendation) error {
-	phaseCost := make([]float64, len(sb.builders))
-	for col := 0; col < len(sb.colRaw); col++ {
-		if res.X[col] < 0.5 {
-			continue
-		}
-		if t := sb.colPhase[col]; t >= 0 {
-			phaseCost[t] += sb.colRaw[col]
+// extract decodes the chosen solution into one recommendation per phase
+// and the migrations between them, accumulating per-phase costs in
+// column order so the reported numbers are bit-identical across runs
+// and worker counts. A single phase reports the first solve's objective
+// as its cost and the run's statistics, and charges no migration: its
+// program has no migration links.
+func (p *Prepared) extract(sol *solution, sr *SeriesRecommendation) error {
+	phaseCost := make([]float64, len(p.builders))
+	for col, raw := range sol.form.colRaw {
+		if sol.res.X[col] >= 0.5 {
+			phaseCost[sol.form.colPhase[col]] += raw
 		}
 	}
 
 	var prevSchema *schema.Schema
-	for t, b := range sb.builders {
-		rec := &Recommendation{}
-		if err := b.extract(res, sb.refs[t], rec); err != nil {
-			return fmt.Errorf("search: phase %q: %w", sb.w.Phases[t].Name, err)
+	for t, b := range p.builders {
+		rec := &Recommendation{Cost: phaseCost[t]}
+		if err := b.extract(sol.res, sol.form.refs[t], rec); err != nil {
+			return p.phaseErr(t, err)
 		}
-		rec.Cost = phaseCost[t]
-		build, drop := migrate.Diff(prevSchema, rec.Schema)
-		pr := &PhaseRecommendation{
-			Phase:         sb.w.Phases[t],
-			Rec:           rec,
-			Build:         build,
-			Drop:          drop,
-			MigrationCost: migrate.EstimatedCost(build, sb.mig),
+		pr := &PhaseRecommendation{Rec: rec}
+		pr.Build, pr.Drop = migrate.Diff(prevSchema, rec.Schema)
+		if t < len(p.phases) {
+			pr.Phase = p.phases[t]
+		}
+		if len(p.builders) == 1 {
+			rec.Cost, rec.Stats = sol.cost, *p.stats
+		} else {
+			pr.MigrationCost = migrate.EstimatedCost(pr.Build, p.mig)
 		}
 		sr.Phases = append(sr.Phases, pr)
-		sr.WorkloadCost += sb.shares[t] * phaseCost[t]
+		sr.WorkloadCost += p.shares[t] * rec.Cost
 		sr.MigrationCost += pr.MigrationCost
 		prevSchema = rec.Schema
 	}
 	sr.TotalCost = sr.WorkloadCost + sr.MigrationCost
 	return nil
-}
-
-// publishSeries records series-level metrics, mirroring publishRun.
-func publishSeries(opt Options, sr *SeriesRecommendation, cacheBefore cost.CacheStats) {
-	if opt.Obs == nil {
-		return
-	}
-	opt.Obs.Counter("search.advise_series_runs").Inc()
-	opt.Obs.Counter("search.series_phases").Add(int64(len(sr.Phases)))
-	opt.Obs.Counter("search.nodes").Add(int64(sr.Stats.Nodes))
-	migrations := 0
-	for t, pr := range sr.Phases {
-		if t > 0 && len(pr.Build) > 0 {
-			migrations++
-		}
-	}
-	opt.Obs.Counter("search.series_migrations").Add(int64(migrations))
-	opt.Obs.Gauge("search.series_migration_cost").Add(sr.MigrationCost)
-
-	g := func(name string, d time.Duration) {
-		opt.Obs.Gauge(name).Add(float64(d.Nanoseconds()) / 1e6)
-	}
-	g("search.wall_ms.enumeration", sr.Timings.Enumeration)
-	g("search.wall_ms.cost_calculation", sr.Timings.CostCalculation)
-	g("search.wall_ms.bip_construction", sr.Timings.BIPConstruction)
-	g("search.wall_ms.bip_solving", sr.Timings.BIPSolving)
-	g("search.wall_ms.total", sr.Timings.Total)
-
-	after := opt.Planner.Cache.Stats()
-	opt.Obs.VolatileCounter("cost.cache.hits").Add(int64(after.Hits - cacheBefore.Hits))
-	opt.Obs.VolatileCounter("cost.cache.misses").Add(int64(after.Misses - cacheBefore.Misses))
-	opt.Obs.VolatileCounter("cost.cache.contention").Add(int64(after.Contention - cacheBefore.Contention))
-	opt.Obs.VolatileCounter("cost.cache.entries").Add(int64(after.Entries - cacheBefore.Entries))
 }
 
 // Format renders the schema series as the nose CLI prints it: one block
