@@ -205,26 +205,34 @@ func (d *Dataset) Install(s Installer, x *schema.Index) error {
 	if x.Name == "" {
 		return fmt.Errorf("backend: index %s has no name", x)
 	}
-	def := DefFromIndex(x)
-	if err := s.Create(def); err != nil {
+	if err := s.Create(DefFromIndex(x)); err != nil {
 		return err
 	}
-	return d.ForEachCombination(x.Path, func(tuple map[string]Value) error {
-		partition := make([]Value, len(def.PartitionCols))
-		for i, c := range def.PartitionCols {
-			partition[i] = tuple[c]
-		}
-		clustering := make([]Value, len(def.ClusteringCols))
-		for i, c := range def.ClusteringCols {
-			clustering[i] = tuple[c]
-		}
-		values := make([]Value, len(def.ValueCols))
-		for i, c := range def.ValueCols {
-			values[i] = tuple[c]
-		}
-		_, err := s.Put(def.Name, partition, clustering, values)
+	return d.ForEachRecord(x, func(partition, clustering, values []Value) error {
+		_, err := s.Put(x.Name, partition, clustering, values)
 		return err
 	})
+}
+
+// ForEachRecord enumerates the records of x's column family: one per
+// connected entity combination along x's path, in the dataset's
+// deterministic iteration order, projected onto the family's
+// partition, clustering and value columns. The slices are freshly
+// allocated per record, so callers may retain them.
+func (d *Dataset) ForEachRecord(x *schema.Index, fn func(partition, clustering, values []Value) error) error {
+	def := DefFromIndex(x)
+	return d.ForEachCombination(x.Path, func(tuple map[string]Value) error {
+		return fn(project(tuple, def.PartitionCols), project(tuple, def.ClusteringCols), project(tuple, def.ValueCols))
+	})
+}
+
+// project copies the named columns of a combination tuple.
+func project(tuple map[string]Value, cols []string) []Value {
+	out := make([]Value, len(cols))
+	for i, c := range cols {
+		out[i] = tuple[c]
+	}
+	return out
 }
 
 // ForEachCombination enumerates the connected entity combinations

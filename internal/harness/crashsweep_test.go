@@ -136,14 +136,15 @@ func (f *sweepFixture) insertParams(i int) executor.Params {
 	}
 }
 
-// runSweep executes one A -> B live migration with the SiteJournal
-// crash armed at append index armAt (negative: never), interleaving a
-// query and an insert per step. On a crash it restarts over the
+// runSweep executes one A -> B migration with the SiteJournal crash
+// armed at append index armAt (negative: never). A live run interleaves
+// a query and an insert per step; a drained run is one Migrate call
+// with no traffic. On a crash it restarts over the
 // surviving store, recovers from the journal, finishes whatever
 // recovery decided, and runs the invariant check. It returns the
 // journal append count of the run (pre-crash for crashed runs) and the
 // recovery outcome (RecoverNone for clean runs).
-func runSweep(t *testing.T, f *sweepFixture, armAt int64) (appends int, outcome harness.RecoverOutcome) {
+func runSweep(t *testing.T, f *sweepFixture, armAt int64, drained bool) (appends int, outcome harness.RecoverOutcome) {
 	t.Helper()
 	sys, err := harness.NewSystem("sweep", f.ds, f.recA, cost.DefaultParams())
 	if err != nil {
@@ -161,7 +162,11 @@ func runSweep(t *testing.T, f *sweepFixture, armAt int64) (appends int, outcome 
 
 	pr := &search.PhaseRecommendation{Rec: f.recB, Build: f.build, Drop: f.drop}
 	crashed := false
-	_, err = sys.StartLiveMigration(f.ds, pr, f.liveOpts)
+	if drained {
+		_, err = sys.Migrate(f.ds, pr, f.liveOpts.Params)
+	} else {
+		_, err = sys.StartLiveMigration(f.ds, pr, f.liveOpts)
+	}
 	if err != nil {
 		if !faults.IsCrash(err) {
 			t.Fatalf("arm %d: start: %v", armAt, err)
@@ -235,29 +240,69 @@ func runSweep(t *testing.T, f *sweepFixture, armAt int64) (appends int, outcome 
 // there. Every crashed run must recover to a verifier-clean state. The
 // sweep runs with the advisor at one worker and at four — the advised
 // schemas, and therefore the whole crash/recovery episode, must be
-// identical whatever the search parallelism.
+// identical whatever the search parallelism — and both for a live
+// migration under traffic and for a stop-the-world Migrate.
 func TestCrashSweepEveryJournalIndex(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			f := newSweepFixture(t, workers)
-			total, _ := runSweep(t, f, -1)
-			if total < 6 {
-				t.Fatalf("clean run journaled only %d records — sweep would prove little", total)
-			}
-			seen := map[harness.RecoverOutcome]int{}
-			for k := 0; k < total; k++ {
-				_, outcome := runSweep(t, f, int64(k))
-				seen[outcome]++
-			}
-			// The sweep must exercise both recovery regimes: resume from
-			// the watermark (early crashes) and roll-forward (crashes at
-			// or past the cutover records).
-			if seen[harness.RecoverResumed] == 0 || seen[harness.RecoverCompleted] == 0 {
-				t.Fatalf("sweep outcome histogram %v missed a recovery regime", seen)
-			}
-			t.Logf("swept %d crash points: %d resumed, %d rolled forward, %d no-op, %d rolled back",
-				total, seen[harness.RecoverResumed], seen[harness.RecoverCompleted],
-				seen[harness.RecoverNone], seen[harness.RecoverRolledBack])
+			sweepEveryIndex(t, workers, false)
+			t.Run("migrate", func(t *testing.T) { sweepEveryIndex(t, workers, true) })
 		})
+	}
+}
+
+// sweepEveryIndex runs one clean migration to count its journal
+// appends, then crashes a re-run at every index and recovers it.
+func sweepEveryIndex(t *testing.T, workers int, drained bool) {
+	f := newSweepFixture(t, workers)
+	total, _ := runSweep(t, f, -1, drained)
+	if total < 6 {
+		t.Fatalf("clean run journaled only %d records — sweep would prove little", total)
+	}
+	seen := map[harness.RecoverOutcome]int{}
+	for k := 0; k < total; k++ {
+		_, outcome := runSweep(t, f, int64(k), drained)
+		seen[outcome]++
+	}
+	// The sweep must exercise both recovery regimes: resume from the
+	// watermark (early crashes) and roll-forward (crashes at or past the
+	// cutover records).
+	if seen[harness.RecoverResumed] == 0 || seen[harness.RecoverCompleted] == 0 {
+		t.Fatalf("sweep outcome histogram %v missed a recovery regime", seen)
+	}
+	t.Logf("swept %d crash points: %d resumed, %d rolled forward, %d no-op, %d rolled back",
+		total, seen[harness.RecoverResumed], seen[harness.RecoverCompleted],
+		seen[harness.RecoverNone], seen[harness.RecoverRolledBack])
+}
+
+// TestDrainReportsStateAtCrash: a simulated crash while draining is not
+// an abort — nothing was rolled back — so DrainLiveMigration reports
+// the controller's state at the crash and leaves the migration attached
+// for recovery to own.
+func TestDrainReportsStateAtCrash(t *testing.T) {
+	f := newSweepFixture(t, 1)
+	sys, err := harness.NewSystem("drain", f.ds, f.recA, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := faults.NewCrashes()
+	cr.Arm(faults.SiteJournal, 3)
+	sys.AttachJournal(journal.New(journal.Options{Crashes: cr}))
+	sys.EnableCrashes(cr)
+
+	pr := &search.PhaseRecommendation{Rec: f.recB, Build: f.build, Drop: f.drop}
+	ctrl, err := sys.StartLiveMigration(f.ds, pr, f.liveOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.DrainLiveMigration(0)
+	if !faults.IsCrash(err) {
+		t.Fatalf("drain error = %v, want the armed crash", err)
+	}
+	if st == migrate.StateAborted || st != ctrl.State() {
+		t.Errorf("drain reported %v, controller is in %v", st, ctrl.State())
+	}
+	if !sys.LiveActive() {
+		t.Error("crashed migration detached from the system")
 	}
 }

@@ -21,6 +21,7 @@ import (
 // construction current while backfill runs.
 type liveMigration struct {
 	ctrl *migrate.Live
+	ds   *backend.Dataset
 	pr   *search.PhaseRecommendation
 	// dual maps each write statement to the target schema's maintenance
 	// of the families being built. dualDone flips when forwarding stops:
@@ -34,9 +35,8 @@ type liveMigration struct {
 
 // StartLiveMigration begins migrating the running system to a phase
 // recommendation in the background: the phase's new column families
-// are created empty (ErrMigrating if a stop-the-world Migrate holds
-// the system, an error if another live migration is running), writes
-// executed from now on are forwarded to them, and the historical
+// are created empty (an error if another live migration is running),
+// writes executed from now on are forwarded to them, and the historical
 // records are copied by repeated LiveStep calls interleaved with
 // statement execution. Backfill writes flow through the system's
 // executor — fault injector, coordinator, and retry policy included —
@@ -45,9 +45,29 @@ type liveMigration struct {
 // Abort, or inspect Progress; drive it with LiveStep rather than
 // calling Step directly so cutover swaps the system's plans.
 func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecommendation, opts migrate.LiveOptions) (*migrate.Live, error) {
-	if s.migrating.Load() {
-		return nil, fmt.Errorf("harness: %s: start live migration to %q: %w", s.Name, phaseName(pr), ErrMigrating)
+	return s.startLive(ds, pr, opts, s.execPut)
+}
+
+// execPut writes one backfill record through the system's executor.
+func (s *System) execPut(cf string, partition, clustering, values []backend.Value) (float64, error) {
+	return s.Exec.Put(cf, partition, clustering, values)
+}
+
+// storePut writes one backfill record straight into the store, below
+// the executor: no fault draws, retries or coordinator weather.
+func (s *System) storePut(cf string, partition, clustering, values []backend.Value) (float64, error) {
+	pr, err := s.migrateStore().Put(cf, partition, clustering, values)
+	if err != nil {
+		return 0, err
 	}
+	return pr.SimMillis, nil
+}
+
+// startLive is the one way a migration starts: it creates the phase's
+// new families, snapshots their backfill through put, and arms
+// dual-write forwarding. StartLiveMigration and Migrate differ only in
+// the put they pass.
+func (s *System) startLive(ds *backend.Dataset, pr *search.PhaseRecommendation, opts migrate.LiveOptions, put migrate.PutFunc) (*migrate.Live, error) {
 	if s.live.Load() != nil {
 		return nil, fmt.Errorf("harness: %s: start live migration to %q: a live migration is already running",
 			s.Name, phaseName(pr))
@@ -58,13 +78,6 @@ func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecomme
 	// shadow an installed one. The phase's plans share the renamed Index
 	// objects, so they stay consistent.
 	pr.Rec.Schema.AlignTo(s.Rec().Schema)
-	var store migrate.Store = s.Store
-	if s.Repl != nil {
-		store = s.Repl
-	}
-	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
-		return s.Exec.Put(cf, partition, clustering, values)
-	}
 	// Journal the migration's intent before any family exists: the
 	// start record names the build and drop sets, so recovery can
 	// reconstruct the migration from the journal alone. Dying at this
@@ -88,15 +101,16 @@ func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecomme
 			return nil, fmt.Errorf("harness: %s: start live migration to %q: %w", s.Name, phaseName(pr), err)
 		}
 	}
-	ctrl, err := migrate.StartLive(ds, store, pr.Build, pr.Drop, put, opts)
+	ctrl, err := migrate.StartLive(ds, s.migrateStore(), pr.Build, pr.Drop, put, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: start live migration to %q: %w", s.Name, phaseName(pr), err)
 	}
 
-	s.armLive(ctrl, pr)
+	s.armLive(ctrl, ds, pr)
 	s.reg.Counter("harness.live.started").Inc()
 	p := ctrl.Progress()
-	s.traceSpan("live-migrate start -> "+phaseName(pr), "migration", 0,
+	s.reg.Gauge("harness.live.sim_ms").Add(p.SimMillis)
+	s.traceSpan("live-migrate start -> "+phaseName(pr), "migration", p.SimMillis,
 		map[string]any{"build": len(pr.Build), "drop": len(pr.Drop), "records": p.TotalRecords})
 	return ctrl, nil
 }
@@ -107,7 +121,7 @@ func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecomme
 // controller's rollback. Without the hook, ctrl.Abort() called directly
 // on the controller would drop the new families while the harness kept
 // forwarding writes to them — re-creating them as orphans.
-func (s *System) armLive(ctrl *migrate.Live, pr *search.PhaseRecommendation) *liveMigration {
+func (s *System) armLive(ctrl *migrate.Live, ds *backend.Dataset, pr *search.PhaseRecommendation) *liveMigration {
 	building := map[string]bool{}
 	for _, name := range ctrl.Building() {
 		building[name] = true
@@ -121,6 +135,7 @@ func (s *System) armLive(ctrl *migrate.Live, pr *search.PhaseRecommendation) *li
 	}
 	lm := &liveMigration{
 		ctrl:              ctrl,
+		ds:                ds,
 		pr:                pr,
 		dual:              dual,
 		dualWrites:        s.reg.Counter("harness.live.dual_writes"),
@@ -162,16 +177,21 @@ func (s *System) LiveStep() (migrate.StepResult, error) {
 	if lm == nil {
 		return migrate.StepResult{}, fmt.Errorf("harness: %s: no live migration running", s.Name)
 	}
+	// The gauge and the trace lane follow the controller's ledger, which
+	// on top of the step's own work books each family's setup charge as
+	// its backfill begins; so they add up to the migration's Result.
+	ledger := lm.ctrl.Progress().SimMillis
 	sr, err := lm.ctrl.Step()
+	ms := lm.ctrl.Progress().SimMillis - ledger
 	if sr.Copied > 0 {
 		s.reg.Counter("harness.live.backfill_records").Add(int64(sr.Copied))
 	}
 	if sr.Faults > 0 {
 		s.reg.Counter("harness.live.faults").Add(int64(sr.Faults))
 	}
-	s.reg.Gauge("harness.live.sim_ms").Add(sr.SimMillis)
-	if sr.SimMillis > 0 || sr.Transitioned {
-		s.traceSpan("live-migrate "+sr.State.String(), "migration", sr.SimMillis,
+	s.reg.Gauge("harness.live.sim_ms").Add(ms)
+	if ms > 0 || sr.Transitioned {
+		s.traceSpan("live-migrate "+sr.State.String(), "migration", ms,
 			map[string]any{"copied": sr.Copied, "faults": sr.Faults})
 	}
 	switch {
@@ -196,7 +216,7 @@ func (s *System) LiveStep() (migrate.StepResult, error) {
 		lm.dualDone.Store(true)
 		s.reg.Counter("harness.live.cutovers").Inc()
 		if s.verifier != nil {
-			s.verifier.NoteCutover(snapshotToRows(lm.ctrl.Snapshot()))
+			s.verifier.NoteCutover(backfillRows(lm.ds, lm.pr))
 		}
 		s.traceSpan("live-migrate plan cutover -> "+phaseName(lm.pr), "migration", 0, nil)
 		// Journal that the plan swap happened: recovery distinguishes
@@ -221,12 +241,18 @@ func (s *System) LiveStep() (migrate.StepResult, error) {
 	return sr, nil
 }
 
-// snapshotToRows converts a controller's backfill snapshot to the
-// verifier's row type.
-func snapshotToRows(snap []migrate.SnapshotRow) []verify.Row {
-	rows := make([]verify.Row, len(snap))
-	for i, r := range snap {
-		rows[i] = verify.Row{CF: r.CF, Partition: r.Partition, Clustering: r.Clustering}
+// backfillRows lists the primary key of every record a migration to
+// pr backfills, in the controller's copy order (the dataset's
+// deterministic iteration order), without touching the store. The
+// verifier checks them at cutover.
+func backfillRows(ds *backend.Dataset, pr *search.PhaseRecommendation) []verify.Row {
+	var rows []verify.Row
+	for _, x := range pr.Build {
+		// The callback never fails, so neither does the walk.
+		_ = ds.ForEachRecord(x, func(partition, clustering, _ []backend.Value) error {
+			rows = append(rows, verify.Row{CF: x.Name, Partition: partition, Clustering: clustering})
+			return nil
+		})
 	}
 	return rows
 }
@@ -242,7 +268,9 @@ const drainStallLimit = 3
 // DrainLiveMigration runs LiveStep until the migration finishes or
 // aborts, bounded by maxSteps (<=0 means no bound). It returns the
 // terminal state and, for aborts, migrate.ErrAborted. Use it to let a
-// migration complete after its workload ends.
+// migration complete after its workload ends. A simulated crash stops
+// the drain with the controller's state at the crash — nothing was
+// rolled back — and the crash error.
 //
 // A migration that stops making progress — no records copied and no
 // state transition for drainStallLimit consecutive steps — is aborted
@@ -260,7 +288,7 @@ func (s *System) DrainLiveMigration(maxSteps int) (migrate.State, error) {
 		}
 		sr, err := s.LiveStep()
 		if err != nil {
-			return migrate.StateAborted, err
+			return lm.ctrl.State(), err
 		}
 		if sr.Copied == 0 && !sr.Transitioned {
 			stalled++

@@ -8,7 +8,6 @@ import (
 	"nose/internal/migrate"
 	"nose/internal/schema"
 	"nose/internal/search"
-	"nose/internal/verify"
 )
 
 // RecoverOutcome is what Recover decided a crashed incarnation's
@@ -169,10 +168,7 @@ func (s *System) Recover(ds *backend.Dataset, recs []journal.Record, pr *search.
 		return nil, fmt.Errorf("harness: %s: recover %q: %w", s.Name, startRec.Name, err)
 	}
 
-	rows, err := snapshotRowsFromDataset(ds, pr)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: recover %q: %w", s.Name, startRec.Name, err)
-	}
+	rows := backfillRows(ds, pr)
 	rep.TotalRecords = len(rows)
 	if watermark > rep.TotalRecords {
 		return nil, fmt.Errorf("harness: %s: recover %q: journal watermark %d exceeds the %d backfill records the dataset yields",
@@ -225,14 +221,11 @@ func (s *System) Recover(ds *backend.Dataset, recs []journal.Record, pr *search.
 	// the last durable chunk record are re-put (idempotent).
 	opts := ropts.Live
 	opts.Journal = s.jr
-	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
-		return s.Exec.Put(cf, partition, clustering, values)
-	}
-	ctrl, err := migrate.ResumeLive(ds, s.migrateStore(), pr.Build, pr.Drop, watermark, put, opts)
+	ctrl, err := migrate.ResumeLive(ds, s.migrateStore(), pr.Build, pr.Drop, watermark, s.execPut, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: recover %q: %w", s.Name, startRec.Name, err)
 	}
-	s.armLive(ctrl, pr)
+	s.armLive(ctrl, ds, pr)
 	return s.finishRecover(rep, RecoverResumed)
 }
 
@@ -303,33 +296,4 @@ func matchNames(what string, xs []*schema.Index, names []string) error {
 		}
 	}
 	return nil
-}
-
-// snapshotRowsFromDataset reconstructs the migration's backfill
-// snapshot — same families, same deterministic iteration order the
-// controller uses — without touching the store.
-func snapshotRowsFromDataset(ds *backend.Dataset, pr *search.PhaseRecommendation) ([]verify.Row, error) {
-	var rows []verify.Row
-	for _, x := range pr.Build {
-		def := backend.DefFromIndex(x)
-		err := ds.ForEachCombination(x.Path, func(tuple map[string]backend.Value) error {
-			row := verify.Row{
-				CF:         def.Name,
-				Partition:  make([]backend.Value, len(def.PartitionCols)),
-				Clustering: make([]backend.Value, len(def.ClusteringCols)),
-			}
-			for i, c := range def.PartitionCols {
-				row.Partition[i] = tuple[c]
-			}
-			for i, c := range def.ClusteringCols {
-				row.Clustering[i] = tuple[c]
-			}
-			rows = append(rows, row)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("snapshot %s: %w", x.Name, err)
-		}
-	}
-	return rows, nil
 }

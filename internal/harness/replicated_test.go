@@ -3,6 +3,7 @@ package harness_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"nose/internal/backend"
@@ -12,6 +13,7 @@ import (
 	"nose/internal/executor"
 	"nose/internal/faults"
 	"nose/internal/harness"
+	"nose/internal/migrate"
 	"nose/internal/model"
 	"nose/internal/planner"
 	"nose/internal/schema"
@@ -255,5 +257,51 @@ func TestFamilyFaultsLayerOverReplication(t *testing.T) {
 	inj.MarkUp(cf)
 	if _, err := sys.ExecStatement(f.query, f.params); err != nil {
 		t.Fatalf("after family recovery: %v", err)
+	}
+}
+
+// TestMigrateChargesNoNodeWeather: Migrate backfills straight into the
+// replicated store, below the coordinator's node fault domains, so a
+// system under heavy node weather is charged exactly what a healthy one
+// is and no fault draw is consumed. The weather still applies to the
+// statements that follow.
+func TestMigrateChargesNoNodeWeather(t *testing.T) {
+	f := newReplFixture(t)
+	pr := func() *search.PhaseRecommendation {
+		return &search.PhaseRecommendation{Rec: f.rec, Build: f.rec.Schema.Indexes()}
+	}
+	empty := &search.Recommendation{Schema: schema.NewSchema()}
+	newSys := func() *harness.System {
+		sys, err := harness.NewReplicatedSystem("repl", f.ds, empty, cost.DefaultParams(),
+			harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	healthy := newSys()
+	want, err := healthy.Migrate(f.ds, pr(), migrate.DefaultCostParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stormy := newSys()
+	ns := stormy.EnableNodeFaults(9, faults.NodeProfile{FlakyRate: 0.3, DownRate: 0.1, SlowRate: 0.3},
+		executor.DefaultRetryPolicy())
+	got, err := stormy.Migrate(f.ds, pr(), migrate.DefaultCostParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Migrate under node faults = %+v, want the healthy charge %+v", got, want)
+	}
+	if c := ns.Counts(); c != (faults.NodeCounts{}) {
+		t.Errorf("Migrate consumed node fault draws: %+v", c)
+	}
+	for i := 0; i < 20; i++ {
+		stormy.ExecStatement(f.query, f.params)
+	}
+	if ns.Counts().Ops == 0 {
+		t.Error("statements after Migrate saw no node weather")
 	}
 }

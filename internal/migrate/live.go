@@ -101,9 +101,10 @@ type LiveOptions struct {
 	// the migration aborts and rolls back. Zero means
 	// DefaultFaultBudget; negative means unlimited.
 	FaultBudget int
-	// Params prices the per-family setup charge. Per-record cost is not
-	// estimated here: every put is charged at the simulated time the
-	// injected PutFunc actually consumed.
+	// Params prices the per-family setup charge, booked into the ledger
+	// as the family's backfill begins. Per-record cost is not estimated
+	// here: every put is charged at the simulated time the injected
+	// PutFunc actually consumed.
 	Params CostParams
 	// Journal, when set, durably records every state transition, family
 	// creation and backfill chunk watermark so a crashed migration can
@@ -185,10 +186,14 @@ type Live struct {
 	faults  int
 	extern  int
 	created []string
-	drop    []string
-	res     Result
-	err     error
-	onAbort func(created []string)
+	// setupAt holds, per family StartLive created, the index of its
+	// first backfill record; setupPaid counts the families whose setup
+	// charge the ledger has booked.
+	setupAt   []int
+	setupPaid int
+	drop      []string
+	res       Result
+	onAbort   func(created []string)
 }
 
 // SetOnAbort registers a hook invoked exactly once when the migration
@@ -225,15 +230,7 @@ func (l *Live) journalLocked(r journal.Record) (float64, error) {
 // dropped and the error returned — nothing is left installed. Families
 // in drop are only discarded after cutover.
 func StartLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, put PutFunc, opts LiveOptions) (*Live, error) {
-	l := &Live{
-		state: StateDualWrite,
-		put:   put,
-		store: s,
-		opts:  opts.normalized(),
-	}
-	for _, x := range drop {
-		l.drop = append(l.drop, x.Name)
-	}
+	l := newLive(s, drop, put, opts, StateDualWrite)
 	for _, x := range build {
 		if x.Name == "" {
 			l.rollbackLocked()
@@ -245,7 +242,7 @@ func StartLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, put Pu
 			return nil, fmt.Errorf("migrate: create %s: %w", x.Name, err)
 		}
 		l.created = append(l.created, def.Name)
-		l.res.SimMillis += l.opts.Params.PerFamilyMillis
+		l.setupAt = append(l.setupAt, len(l.records))
 		// Journal the creation after it succeeded: recovery garbage-
 		// collects created-but-unjournaled families by diffing the store
 		// against the journal. A crash here skips rollback — the
@@ -253,34 +250,27 @@ func StartLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, put Pu
 		if _, err := l.journalLocked(journal.Record{Kind: journal.KindCreated, Name: def.Name}); err != nil {
 			return nil, err
 		}
-		if err := l.snapshotLocked(ds, x, def); err != nil {
-			l.rollbackLocked()
-			return nil, fmt.Errorf("migrate: snapshot %s: %w", x.Name, err)
-		}
+		l.snapshotLocked(ds, x)
 	}
 	return l, nil
 }
 
+// newLive builds a controller in the given state that retires the
+// families in drop once the migration has cut over.
+func newLive(s Store, drop []*schema.Index, put PutFunc, opts LiveOptions, state State) *Live {
+	l := &Live{state: state, put: put, store: s, opts: opts.normalized()}
+	for _, x := range drop {
+		l.drop = append(l.drop, x.Name)
+	}
+	return l
+}
+
 // snapshotLocked materializes one family's backfill records from the
 // dataset in the dataset's deterministic iteration order.
-func (l *Live) snapshotLocked(ds *backend.Dataset, x *schema.Index, def backend.ColumnFamilyDef) error {
-	return ds.ForEachCombination(x.Path, func(tuple map[string]backend.Value) error {
-		rec := liveRecord{
-			cf:         def.Name,
-			partition:  make([]backend.Value, len(def.PartitionCols)),
-			clustering: make([]backend.Value, len(def.ClusteringCols)),
-			values:     make([]backend.Value, len(def.ValueCols)),
-		}
-		for i, c := range def.PartitionCols {
-			rec.partition[i] = tuple[c]
-		}
-		for i, c := range def.ClusteringCols {
-			rec.clustering[i] = tuple[c]
-		}
-		for i, c := range def.ValueCols {
-			rec.values[i] = tuple[c]
-		}
-		l.records = append(l.records, rec)
+func (l *Live) snapshotLocked(ds *backend.Dataset, x *schema.Index) {
+	// The callback never fails, so neither does the walk.
+	_ = ds.ForEachRecord(x, func(partition, clustering, values []backend.Value) error {
+		l.records = append(l.records, liveRecord{cf: x.Name, partition: partition, clustering: clustering, values: values})
 		return nil
 	})
 }
@@ -298,15 +288,7 @@ func (l *Live) snapshotLocked(ds *backend.Dataset, x *schema.Index, def backend.
 // controller starts in StateBackfill, or StateCutover when the
 // watermark already covers every record.
 func ResumeLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, cursor int, put PutFunc, opts LiveOptions) (*Live, error) {
-	l := &Live{
-		state: StateBackfill,
-		put:   put,
-		store: s,
-		opts:  opts.normalized(),
-	}
-	for _, x := range drop {
-		l.drop = append(l.drop, x.Name)
-	}
+	l := newLive(s, drop, put, opts, StateBackfill)
 	for _, x := range build {
 		if x.Name == "" {
 			return nil, fmt.Errorf("migrate: index %s has no name", x)
@@ -322,9 +304,7 @@ func ResumeLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, curso
 			}
 		}
 		l.created = append(l.created, def.Name)
-		if err := l.snapshotLocked(ds, x, def); err != nil {
-			return nil, fmt.Errorf("migrate: snapshot %s: %w", x.Name, err)
-		}
+		l.snapshotLocked(ds, x)
 	}
 	if cursor < 0 {
 		cursor = 0
@@ -337,28 +317,6 @@ func ResumeLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, curso
 		l.state = StateCutover
 	}
 	return l, nil
-}
-
-// SnapshotRow identifies one backfilled record by primary key; the
-// harness hands the full snapshot to the verifier at cutover so the
-// old and new families can be checked for agreement.
-type SnapshotRow struct {
-	// CF is the destination column family.
-	CF string
-	// Partition and Clustering form the record's primary key.
-	Partition, Clustering []backend.Value
-}
-
-// Snapshot returns the primary keys of every record this migration
-// backfills, in copy order.
-func (l *Live) Snapshot() []SnapshotRow {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SnapshotRow, len(l.records))
-	for i, rec := range l.records {
-		out[i] = SnapshotRow{CF: rec.cf, Partition: rec.partition, Clustering: rec.clustering}
-	}
-	return out
 }
 
 // Building returns the names of the families this migration is
@@ -431,7 +389,6 @@ func (l *Live) abortLocked() error {
 	}
 	l.rollbackLocked()
 	l.state = StateAborted
-	l.err = ErrAborted
 	if l.onAbort != nil {
 		fn := l.onAbort
 		l.onAbort = nil
@@ -482,14 +439,6 @@ func (l *Live) Result() Result {
 	return res
 }
 
-// Cutover reports whether the controller is waiting for the caller to
-// swap its query plans onto the new schema. The caller performs the
-// atomic swap, then calls Step to move on to dropping the old
-// families.
-func (l *Live) Cutover() bool {
-	return l.State() == StateCutover
-}
-
 // Step advances the migration by one bounded unit of work:
 //
 //   - StateDualWrite: transition to StateBackfill (no records move).
@@ -498,7 +447,7 @@ func (l *Live) Cutover() bool {
 //     fault, does not advance the cursor (the record retries next
 //     Step), and ends the chunk early.
 //   - StateCutover: transition to StateDrop. The caller must have
-//     performed its atomic plan swap before this Step (see Cutover).
+//     performed its atomic plan swap before this Step.
 //   - StateDrop: discard the superseded families, transition to
 //     StateDone.
 //
@@ -553,6 +502,7 @@ func (l *Live) Step() (StepResult, error) {
 		}
 	case StateBackfill:
 		for sr.Copied < l.opts.ChunkRecords && l.cursor < len(l.records) {
+			l.paySetupLocked()
 			rec := l.records[l.cursor]
 			ms, err := l.put(rec.cf, rec.partition, rec.clustering, rec.values)
 			sr.SimMillis += ms
@@ -597,6 +547,7 @@ func (l *Live) Step() (StepResult, error) {
 			}
 		}
 		if l.cursor == len(l.records) {
+			l.paySetupLocked()
 			l.state = StateCutover
 			sr.Transitioned = true
 			ms, err := l.journalLocked(journal.Record{Kind: journal.KindState, State: uint8(StateCutover)})
@@ -632,6 +583,19 @@ func (l *Live) Step() (StepResult, error) {
 	}
 	sr.State = l.state
 	return sr, nil
+}
+
+// paySetupLocked books the setup charge of every family whose backfill
+// has begun: the cursor has reached its first record (or passed the
+// start of a family with none). Charging a family just before its
+// records, instead of at creation, sums the ledger family by family in
+// build order — the same sum, in the same order, as building the
+// families one at a time.
+func (l *Live) paySetupLocked() {
+	for l.setupPaid < len(l.setupAt) && l.setupAt[l.setupPaid] <= l.cursor {
+		l.res.SimMillis += l.opts.Params.PerFamilyMillis
+		l.setupPaid++
+	}
 }
 
 func (l *Live) overBudgetLocked() bool {

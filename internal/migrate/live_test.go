@@ -2,6 +2,7 @@ package migrate_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"nose/internal/backend"
@@ -11,23 +12,7 @@ import (
 	"nose/internal/schema"
 )
 
-// flakyStore wraps a real store and fails every Put after the first
-// failAfter successes — an injected mid-build failure for the Apply
-// rollback regression test.
-type flakyStore struct {
-	*backend.Store
-	failAfter int
-	puts      int
-}
-
 var errInjectedPut = errors.New("injected put failure")
-
-func (f *flakyStore) Put(name string, partition, clustering, values []backend.Value) (*backend.PutResult, error) {
-	if f.puts++; f.puts > f.failAfter {
-		return nil, errInjectedPut
-	}
-	return f.Store.Put(name, partition, clustering, values)
-}
 
 // readable reports whether the family exists in the store: every
 // family in these tests has a one-column partition key, so a
@@ -35,42 +20,6 @@ func (f *flakyStore) Put(name string, partition, clustering, values []backend.Va
 func readable(s *backend.Store, name string) bool {
 	_, err := s.Get(name, backend.GetRequest{Partition: []backend.Value{"City0"}})
 	return err == nil
-}
-
-// TestApplyDropsPartialFamilyOnFailure: a Put failing mid-build must
-// not leave the half-built family — or any family this Apply call
-// already installed — behind.
-func TestApplyDropsPartialFamilyOnFailure(t *testing.T) {
-	g := hotel.Graph()
-	ds := tinyDataset(t, g)
-	sch := schema.NewSchema()
-	view := sch.Add(guestView(t, g))
-	pk := sch.Add(guestPK(t, g))
-
-	// The view materializes 5 records; failing on the 7th put dies in
-	// the middle of the second family's build.
-	inner := backend.NewStore(cost.DefaultParams())
-	s := &flakyStore{Store: inner, failAfter: 6}
-	_, err := migrate.Apply(ds, s, []*schema.Index{view, pk}, nil, migrate.DefaultCostParams())
-	if !errors.Is(err, errInjectedPut) {
-		t.Fatalf("Apply error = %v, want the injected put failure", err)
-	}
-	if readable(inner, pk.Name) {
-		t.Errorf("partially built family %s still installed after failed Apply", pk.Name)
-	}
-	if readable(inner, view.Name) {
-		t.Errorf("family %s from the failed migration still installed", view.Name)
-	}
-
-	// Failing inside the very first family must drop it too.
-	inner = backend.NewStore(cost.DefaultParams())
-	s = &flakyStore{Store: inner, failAfter: 2}
-	if _, err := migrate.Apply(ds, s, []*schema.Index{view}, nil, migrate.DefaultCostParams()); !errors.Is(err, errInjectedPut) {
-		t.Fatalf("Apply error = %v, want the injected put failure", err)
-	}
-	if readable(inner, view.Name) {
-		t.Errorf("partially built family %s still installed", view.Name)
-	}
 }
 
 // storePut adapts a store's Put to the live controller's PutFunc.
@@ -81,6 +30,160 @@ func storePut(s *backend.Store) migrate.PutFunc {
 			return 0, err
 		}
 		return pr.SimMillis, nil
+	}
+}
+
+// drain steps a migration to its end and returns the first error.
+func drain(t *testing.T, l *migrate.Live) error {
+	t.Helper()
+	for i := 0; l.State() != migrate.StateDone; i++ {
+		if i > 100 {
+			t.Fatal("migration did not finish in 100 steps")
+		}
+		if _, err := l.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLiveMigrationChargesFamiliesAndPuts: the ledger charges every new
+// family its setup price and every backfilled record the simulated time
+// its put consumed, and nothing else; a drop-only migration is free.
+func TestLiveMigrationChargesFamiliesAndPuts(t *testing.T) {
+	g := hotel.Graph()
+	ds := tinyDataset(t, g)
+	s := backend.NewStore(cost.DefaultParams())
+	p := migrate.DefaultCostParams()
+
+	sch := schema.NewSchema()
+	view := sch.Add(guestView(t, g))
+	pk := sch.Add(guestPK(t, g))
+
+	puts, putMillis := 0, 0.0
+	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
+		ms, err := storePut(s)(cf, partition, clustering, values)
+		puts++
+		putMillis += ms
+		return ms, err
+	}
+	l, err := migrate.StartLive(ds, s, []*schema.Index{view, pk}, nil, put, migrate.LiveOptions{Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drain(t, l); err != nil {
+		t.Fatal(err)
+	}
+	res := l.Result()
+	if len(res.Built) != 2 || res.Built[0] != view.Name || res.Built[1] != pk.Name {
+		t.Errorf("Built = %v", res.Built)
+	}
+	// 5 reservations materialize 5 view records; 3 guests 3 pk records.
+	if res.Records != 8 || puts != 8 {
+		t.Errorf("Records = %d after %d puts, want 8", res.Records, puts)
+	}
+	if want := 2*p.PerFamilyMillis + putMillis; math.Abs(res.SimMillis-want) > 1e-9 {
+		t.Errorf("SimMillis = %v, want 2 family charges + puts = %v", res.SimMillis, want)
+	}
+	got, err := s.Get(view.Name, backend.GetRequest{Partition: []backend.Value{"City0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) == 0 {
+		t.Error("no records materialized for City0")
+	}
+
+	// A second migration only drops the view: free, and the family is
+	// gone.
+	l, err = migrate.StartLive(ds, s, nil, []*schema.Index{view}, put, migrate.LiveOptions{Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drain(t, l); err != nil {
+		t.Fatal(err)
+	}
+	if res := l.Result(); len(res.Dropped) != 1 || res.Dropped[0] != view.Name || res.SimMillis != 0 {
+		t.Errorf("drop result = %+v", res)
+	}
+	if readable(s, view.Name) {
+		t.Error("dropped family still readable")
+	}
+}
+
+// TestStartLiveRejectsUnnamedIndex: a family without a store name is
+// refused before anything is created.
+func TestStartLiveRejectsUnnamedIndex(t *testing.T) {
+	g := hotel.Graph()
+	ds := tinyDataset(t, g)
+	s := backend.NewStore(cost.DefaultParams())
+	sch := schema.NewSchema()
+	view := sch.Add(guestView(t, g))
+	if _, err := migrate.StartLive(ds, s, []*schema.Index{view, guestPK(t, g)}, nil, storePut(s),
+		migrate.LiveOptions{}); err == nil {
+		t.Fatal("unnamed index accepted")
+	}
+	if readable(s, view.Name) {
+		t.Error("family created before the unnamed index was rejected")
+	}
+}
+
+// failingCreate wraps a store and refuses every Create after the first
+// ok successes.
+type failingCreate struct {
+	*backend.Store
+	ok int
+}
+
+func (f *failingCreate) Create(def backend.ColumnFamilyDef) error {
+	if f.ok--; f.ok < 0 {
+		return errors.New("injected create failure")
+	}
+	return f.Store.Create(def)
+}
+
+// TestLiveMigrationDropsPartialFamiliesOnFailure: a build that fails —
+// at a create, or at backfill puts beyond the fault budget — leaves
+// nothing it installed behind, half-built family included.
+func TestLiveMigrationDropsPartialFamiliesOnFailure(t *testing.T) {
+	g := hotel.Graph()
+	ds := tinyDataset(t, g)
+	sch := schema.NewSchema()
+	view := sch.Add(guestView(t, g))
+	pk := sch.Add(guestPK(t, g))
+
+	// The second create fails: the first family is dropped again.
+	s := backend.NewStore(cost.DefaultParams())
+	if _, err := migrate.StartLive(ds, &failingCreate{Store: s, ok: 1}, []*schema.Index{view, pk}, nil,
+		storePut(s), migrate.LiveOptions{}); err == nil {
+		t.Fatal("failed create not reported")
+	}
+	if readable(s, view.Name) {
+		t.Errorf("family %s from the failed start still installed", view.Name)
+	}
+
+	// The view backfills 5 records; every put from the 7th on fails,
+	// in the middle of the second family's backfill.
+	s = backend.NewStore(cost.DefaultParams())
+	puts := 0
+	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
+		if puts++; puts > 6 {
+			return 0, errInjectedPut
+		}
+		return storePut(s)(cf, partition, clustering, values)
+	}
+	l, err := migrate.StartLive(ds, s, []*schema.Index{view, pk}, nil, put,
+		migrate.LiveOptions{ChunkRecords: 3, FaultBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drain(t, l); !errors.Is(err, migrate.ErrAborted) {
+		t.Fatalf("drain = %v, want ErrAborted", err)
+	}
+	if readable(s, pk.Name) {
+		t.Errorf("partially built family %s still installed after the failed build", pk.Name)
+	}
+	if readable(s, view.Name) {
+		t.Errorf("family %s from the failed build still installed", view.Name)
 	}
 }
 
@@ -99,7 +202,7 @@ func TestLiveMigrationWalksStateMachine(t *testing.T) {
 	old := schema.NewSchema()
 	oldPK := old.Add(guestPK(t, g))
 	oldPK.Name = "old_guest_pk"
-	if _, err := migrate.Apply(ds, s, []*schema.Index{oldPK}, nil, migrate.DefaultCostParams()); err != nil {
+	if err := ds.Install(s, oldPK); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +333,7 @@ func TestLiveMigrationAbortsOverBudget(t *testing.T) {
 	old := schema.NewSchema()
 	oldPK := old.Add(guestPK(t, g))
 	oldPK.Name = "old_guest_pk"
-	if _, err := migrate.Apply(ds, s, []*schema.Index{oldPK}, nil, migrate.DefaultCostParams()); err != nil {
+	if err := ds.Install(s, oldPK); err != nil {
 		t.Fatal(err)
 	}
 

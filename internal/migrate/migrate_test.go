@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nose/internal/backend"
-	"nose/internal/cost"
 	"nose/internal/hotel"
 	"nose/internal/migrate"
 	"nose/internal/model"
@@ -128,60 +127,5 @@ func TestDiff(t *testing.T) {
 	}
 	if len(drop) != 1 || drop[0].ID() != pk.ID() {
 		t.Errorf("drop = %v, want the pk family", drop)
-	}
-}
-
-func TestApplyBuildsAndCharges(t *testing.T) {
-	g := hotel.Graph()
-	ds := tinyDataset(t, g)
-	s := backend.NewStore(cost.DefaultParams())
-	p := migrate.DefaultCostParams()
-
-	sch := schema.NewSchema()
-	view := sch.Add(guestView(t, g))
-	pk := sch.Add(guestPK(t, g))
-
-	res, err := migrate.Apply(ds, s, []*schema.Index{view, pk}, nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Built) != 2 || res.Built[0] != view.Name || res.Built[1] != pk.Name {
-		t.Errorf("Built = %v", res.Built)
-	}
-	// 5 reservations materialize 5 view records; 3 guests 3 pk records.
-	if res.Records != 8 {
-		t.Errorf("Records = %d, want 8", res.Records)
-	}
-	if res.SimMillis <= 2*p.PerFamilyMillis {
-		t.Errorf("SimMillis = %v, want above the fixed charges", res.SimMillis)
-	}
-	// The built family must be readable.
-	got, err := s.Get(view.Name, backend.GetRequest{Partition: []backend.Value{"City0"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) == 0 {
-		t.Error("no records materialized for City0")
-	}
-
-	// A second migration drops the view; reading it must fail.
-	res, err = migrate.Apply(ds, s, nil, []*schema.Index{view}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Dropped) != 1 || res.Dropped[0] != view.Name || res.SimMillis != 0 {
-		t.Errorf("drop result = %+v", res)
-	}
-	if _, err := s.Get(view.Name, backend.GetRequest{Partition: []backend.Value{"City0"}}); err == nil {
-		t.Error("dropped family still readable")
-	}
-}
-
-func TestApplyRejectsUnnamedIndex(t *testing.T) {
-	g := hotel.Graph()
-	ds := tinyDataset(t, g)
-	s := backend.NewStore(cost.DefaultParams())
-	if _, err := migrate.Apply(ds, s, []*schema.Index{guestPK(t, g)}, nil, migrate.DefaultCostParams()); err == nil {
-		t.Error("unnamed index accepted")
 	}
 }
