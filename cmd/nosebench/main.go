@@ -8,7 +8,6 @@
 //	nosebench -experiment quorum [-faults 0,0.02,0.05,0.1] [-seed 7] [-nodes 5] [-rf 3]
 //	nosebench -experiment crashchaos [-faults 0,0.02] [-seed 7] [-nodes 5] [-rf 3]
 //	nosebench -experiment load [-clients 1,2,4,8,16,32,64] [-capacity 1] [-think 10] [-horizon 2000] [-seed 7] [-nodes 5] [-rf 3]
-//	nosebench -experiment drift [-drift 0,0.25,0.5,1] [-phases 4] [-seed 7]
 //	nosebench -experiment online [-drift 0,0.25,0.5,1] [-phases 4] [-seed 7] [-fault-rate 0.02] [-penalty 10] [-drift-window 40] [-drift-confirm 2]
 //
 // Every experiment accepts -workers n to bound advisor parallelism
@@ -34,16 +33,16 @@
 // recovered from the durable journal, plus coordinator crashes inside
 // hinted handoff and read repair; every run must pass the invariant
 // verifier (no acknowledged write lost, cutover agreement, no orphan
-// families). Drift: a time-dependent RUBiS
-// workload sliding from browsing toward write100 across -phases
-// intervals, comparing a statically-advised schema against a
-// re-advised schema series whose mid-run migrations are charged
-// simulated time (see search.AdviseSeries). Online: the same drifting
-// timeline served by three strategies — advise-once, the phase oracle,
-// and an online loop whose drift detector re-advises on the observed
-// statement mix and migrates live in the background (dual writes,
-// bounded backfill chunks) — with lost transactions charged an SLA
-// penalty, each drift rate measured clean and under node faults.
+// families). Online: a time-dependent RUBiS workload sliding from
+// browsing toward write100 across -phases intervals, served by four
+// strategies — advise-once, the phase oracle (a re-advised schema
+// series whose mid-run migrations are charged simulated time, see
+// search.AdviseSeries), an online loop whose drift detector re-advises
+// on the observed statement mix and migrates live in the background
+// (dual writes, bounded backfill chunks), and the static schema
+// advised on the phase-averaged workload — with lost transactions
+// charged an SLA penalty, each drift rate measured clean and under
+// node faults.
 package main
 
 import (
@@ -65,7 +64,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "fig11", "fig11, fig12, fig13, budget, ablation, chaos, quorum, load, crashchaos, drift or online")
+	experiment := flag.String("experiment", "fig11", "fig11, fig12, fig13, budget, ablation, chaos, quorum, load, crashchaos or online")
 	users := flag.Int("users", 20_000, "RUBiS users (the paper used 200000)")
 	executions := flag.Int("executions", 50, "measured executions per transaction type")
 	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10; factors above 3 can take tens of minutes with the built-in solver)")
@@ -74,15 +73,15 @@ func main() {
 	maxNodes := flag.Int("max-nodes", 500, "branch and bound node budget per solve")
 	workers := flag.Int("workers", 0, "advisor worker goroutines; 0 means all CPUs (results are identical for every value)")
 	faultRates := flag.String("faults", "", "comma-separated fault rates for the chaos, quorum and crashchaos experiments")
-	seed := flag.Int64("seed", 7, "seed for the chaos, quorum, crashchaos, drift and online experiments; the same seed reproduces a table bit for bit")
+	seed := flag.Int64("seed", 7, "seed for the chaos, quorum, crashchaos and online experiments; the same seed reproduces a table bit for bit")
 	nodes := flag.Int("nodes", 5, "cluster size for the quorum and crashchaos experiments")
 	rf := flag.Int("rf", 3, "replication factor for the quorum and crashchaos experiments")
 	clients := flag.String("clients", "", "comma-separated closed-loop client populations for the load experiment; empty means 1,2,4,8,16,32,64")
 	capacity := flag.Int("capacity", experiments.DefaultLoadCapacity, "parallel servers per node for the load experiment's service queues")
 	think := flag.Float64("think", experiments.DefaultLoadThinkMillis, "mean client think time in simulated ms for the load experiment")
 	horizon := flag.Float64("horizon", experiments.DefaultLoadHorizonMillis, "simulated duration of each load cell in ms (first tenth is warmup)")
-	driftRates := flag.String("drift", "", "comma-separated drift rates in [0,1] for the drift and online experiments")
-	phases := flag.Int("phases", experiments.DefaultDriftPhases, "workload phases for the drift and online experiments")
+	driftRates := flag.String("drift", "", "comma-separated drift rates in [0,1] for the online experiment")
+	phases := flag.Int("phases", experiments.DefaultDriftPhases, "workload phases for the online experiment")
 	faultRate := flag.Float64("fault-rate", experiments.DefaultOnlineFaultRate, "node fault rate for the online experiment's faulted rows; 0 skips them")
 	penalty := flag.Float64("penalty", experiments.DefaultOnlinePenaltyMillis, "SLA penalty in simulated ms per lost transaction in the online experiment; negative disables")
 	driftWindow := flag.Int("drift-window", 0, "online experiment: drift detector window size in statements; 0 means the drift package default")
@@ -245,22 +244,6 @@ func main() {
 		}
 		fmt.Println("Crashchaos — crash-point sweep of a live migration with journal recovery and invariant verification (hotel workload)")
 		fmt.Print(res.Format())
-	case "drift":
-		rates, err := parseRates(*driftRates)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := experiments.RunDrift(experiments.DriftConfig{
-			Base:   cfg,
-			Rates:  rates,
-			Phases: *phases,
-			Seed:   *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Drift — static-once vs re-advised schemas under workload drift (total simulated ms, migrations charged)")
-		fmt.Print(res.Format())
 	case "online":
 		rates, err := parseRates(*driftRates)
 		if err != nil {
@@ -281,7 +264,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println("Online — advise-once vs phase oracle vs drift-detected live migration (total simulated ms, lost transactions penalized)")
+		fmt.Println("Online — advise-once vs phase oracle vs drift-detected live migration vs static average-workload schema (total simulated ms, migrations charged, lost transactions penalized)")
 		fmt.Print(res.Format())
 	case "fig13":
 		res, err := experiments.RunFig13(experiments.Fig13Config{

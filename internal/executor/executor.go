@@ -406,18 +406,6 @@ func valueOf(t Tuple, a *model.Attribute, overrides Tuple) backend.Value {
 	return attrZero(a)
 }
 
-// ExecuteUpdate runs one update recommendation: support plans first to
-// assemble the affected record contexts, then the delete and put
-// requests against the maintained column family.
-//
-// When one statement maintains several column families, use
-// ExecuteWrite instead: it performs every family's support reads before
-// any family's writes, so maintenance of one family cannot destroy the
-// data another family's support queries need.
-func (e *Executor) ExecuteUpdate(ur *search.UpdateRecommendation, params Params) (*Result, error) {
-	return e.ExecuteWrite([]*search.UpdateRecommendation{ur}, params)
-}
-
 // ExecuteWrite runs all maintenance of one statement execution across
 // its column families: all support queries first, then all deletes and
 // puts. On error the returned result, when non-nil, carries the

@@ -238,7 +238,7 @@ func TestOrderedQueryReturnsSortedRows(t *testing.T) {
 	}
 }
 
-func TestExecuteUpdateMaintainsViews(t *testing.T) {
+func TestExecuteWriteMaintainsViews(t *testing.T) {
 	ds := buildHotelData(t)
 	g := ds.Graph
 	w := workload.New(g)
@@ -259,7 +259,7 @@ func TestExecuteUpdateMaintainsViews(t *testing.T) {
 		}
 	}
 	if _, err := ex.ExecuteWrite(ursupd, params); err != nil {
-		t.Fatalf("ExecuteUpdate: %v", err)
+		t.Fatalf("ExecuteWrite(update): %v", err)
 	}
 	// Mirror the mutation in the base dataset and compare via oracle.
 	must(t, ds.UpdateEntity(g.MustEntity("Guest"), int64(7), map[string]backend.Value{"GuestName": "RENAMED"}))
@@ -291,7 +291,7 @@ func TestExecuteInsertCreatesRecords(t *testing.T) {
 		}
 	}
 	if _, err := ex.ExecuteWrite(ursins, params); err != nil {
-		t.Fatalf("ExecuteUpdate(insert): %v", err)
+		t.Fatalf("ExecuteWrite(insert): %v", err)
 	}
 	resE := g.MustEntity("Reservation")
 	must(t, ds.AddEntity(resE, map[string]backend.Value{"ResID": 99_999}))
@@ -324,7 +324,7 @@ func TestExecuteDeleteRemovesRecords(t *testing.T) {
 		}
 	}
 	if _, err := ex.ExecuteWrite(ursdel, params); err != nil {
-		t.Fatalf("ExecuteUpdate(delete): %v", err)
+		t.Fatalf("ExecuteWrite(delete): %v", err)
 	}
 	must(t, ds.RemoveEntity(g.MustEntity("Guest"), int64(12)))
 

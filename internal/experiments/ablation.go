@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"nose/internal/enumerator"
-	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/search"
 )
@@ -91,9 +89,3 @@ func (r *AblationResult) Format() string {
 	}
 	return b.String()
 }
-
-// Compile-time assertions that the toggles exist where expected.
-var (
-	_ = enumerator.Features{}
-	_ = planner.Config{}.SkipReverse
-)

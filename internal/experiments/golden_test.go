@@ -16,8 +16,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// smokeBase is the experiment shape the CI drift and online smokes
-// run: `nosebench -users 200 -executions 24 -phases 3 -max-plans 8
+// smokeBase is the experiment shape the CI online smoke runs:
+// `nosebench -users 200 -executions 24 -phases 3 -max-plans 8
 // -max-nodes 30` with the CLI's remaining advisor defaults.
 func smokeBase() experiments.Fig11Config {
 	return experiments.Fig11Config{
@@ -53,28 +53,12 @@ func checkGolden(t *testing.T, path string, got string) {
 	}
 }
 
-// TestDriftGolden pins the drift table at the CI smoke shape. Every
-// cell's migration column is charged by harness.Migrate, so a change to
-// how migrations execute or are priced shows up here.
-//
-//	go test ./internal/experiments -run 'Test(Drift|Online)Golden' -update
-func TestDriftGolden(t *testing.T) {
-	res, err := experiments.RunDrift(experiments.DriftConfig{
-		Base:   smokeBase(),
-		Rates:  []float64{0, 0.5, 1},
-		Phases: 3,
-		Seed:   7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, filepath.Join("testdata", "drift.golden"), res.Format())
-}
-
 // TestOnlineGolden pins the online table at the CI smoke shape, node
-// faulted rows included: the once and oracle columns install their
-// schemas through harness.Migrate, the online column through a live
-// migration under the same fault weather.
+// faulted rows included: the once, oracle and static columns install
+// their schemas through harness.Migrate, the online column through a
+// live migration under the same fault weather.
+//
+//	go test ./internal/experiments -run TestOnlineGolden -update
 func TestOnlineGolden(t *testing.T) {
 	res, err := experiments.RunOnline(experiments.OnlineConfig{
 		Base:          smokeBase(),

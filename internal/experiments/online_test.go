@@ -59,16 +59,29 @@ func TestRunOnlineDeterministicSweep(t *testing.T) {
 				t.Errorf("rate %g faulted=%t %s: initial installation not charged: %+v",
 					row.Rate, row.Faulted, name, cell)
 			}
+			if cell.TotalMillis() != cell.WorkloadMillis+cell.MigrationMillis+cell.PenaltyMillis {
+				t.Errorf("rate %g faulted=%t %s: total is not workload+migration+penalty", row.Rate, row.Faulted, name)
+			}
 		}
 	}
 
-	// At rate 0 the workload never drifts: the detector must not fire
-	// and the online strategy must keep its initial schema.
+	// At rate 0 the workload never drifts: the detector must not fire,
+	// the online strategy must keep its initial schema, re-advising per
+	// phase must change nothing, and the average workload is the
+	// phase-0 workload, so static serves exactly what once serves.
 	for _, row := range res.Rows[:2] {
 		online := row.Cells["online"]
 		if online.Triggers != 0 || online.Migrations != 1 {
 			t.Errorf("rate 0 faulted=%t: %d triggers, %d migrations; want 0 and 1 (initial only)",
 				row.Faulted, online.Triggers, online.Migrations)
+		}
+		if oracle := row.Cells["oracle"]; oracle.Migrations != 1 {
+			t.Errorf("rate 0 faulted=%t: oracle made %d migrations, want only the initial installation",
+				row.Faulted, oracle.Migrations)
+		}
+		if !reflect.DeepEqual(row.Cells["static"], row.Cells["once"]) {
+			t.Errorf("rate 0 faulted=%t: static %+v differs from once %+v",
+				row.Faulted, row.Cells["static"], row.Cells["once"])
 		}
 	}
 
@@ -109,5 +122,30 @@ func TestRunOnlineDeterministicSweep(t *testing.T) {
 	out := res.Format()
 	if !strings.Contains(out, "winner") || !strings.Contains(out, "3 phases") {
 		t.Errorf("format output incomplete:\n%s", out)
+	}
+}
+
+// TestOnlineFormatWinnerTieBreak: the winner is decided on the printed
+// 0.1 ms totals, so two totals that differ only in floating-point noise
+// tie, and the tie goes to the first strategy in OnlineStrategies
+// order rather than to whichever ledger summed a few ulps lower.
+func TestOnlineFormatWinnerTieBreak(t *testing.T) {
+	res := &experiments.OnlineResult{
+		Phases:     3,
+		Executions: 24,
+		Rows: []experiments.OnlineRow{{
+			Rate: 1,
+			Cells: map[string]experiments.OnlineCell{
+				"once":   {WorkloadMillis: 703.7},
+				"oracle": {WorkloadMillis: 649.912999999999},
+				"online": {WorkloadMillis: 731.7},
+				"static": {WorkloadMillis: 649.912999999998},
+			},
+		}},
+	}
+	lines := strings.Split(strings.TrimSpace(res.Format()), "\n")
+	last := lines[len(lines)-1]
+	if fields := strings.Fields(last); fields[len(fields)-1] != "oracle" {
+		t.Errorf("winner of a 1e-12 ms tie is not the first strategy:\n%s", last)
 	}
 }

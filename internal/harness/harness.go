@@ -170,12 +170,7 @@ func NewSystem(name string, ds *backend.Dataset, rec *search.Recommendation, lat
 			return nil, fmt.Errorf("harness: installing %s for %s: %w", x.Name, name, err)
 		}
 	}
-	s := newSystem(name, rec, lat)
-	s.Store = store
-	store.SetObs(s.reg)
-	s.Exec = executor.New(store, lat)
-	s.Exec.SetObs(s.reg)
-	return s, nil
+	return NewSystemFromStore(name, store, rec, lat), nil
 }
 
 // NewSystemFromStore wraps an existing store — typically one that
@@ -264,19 +259,7 @@ func NewReplicatedSystem(name string, ds *backend.Dataset, rec *search.Recommend
 			return nil, fmt.Errorf("harness: installing %s for %s: %w", x.Name, name, err)
 		}
 	}
-	coord := executor.NewCoordinator(repl, executor.CoordinatorOptions{
-		Read:  cfg.Read,
-		Write: cfg.Write,
-		Hedge: cfg.Hedge,
-	})
-	s := newSystem(name, rec, lat)
-	s.Repl = repl
-	s.Coord = coord
-	repl.SetObs(s.reg)
-	coord.SetObs(s.reg)
-	s.Exec = executor.New(coord, lat)
-	s.Exec.SetObs(s.reg)
-	return s, nil
+	return NewReplicatedSystemFromStore(name, repl, rec, lat, cfg), nil
 }
 
 // newSystem builds the plan bookkeeping shared by both storage modes.
