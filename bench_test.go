@@ -24,6 +24,7 @@ import (
 	"nose/internal/hotel"
 	"nose/internal/load"
 	"nose/internal/migrate"
+	"nose/internal/obs"
 	"nose/internal/planner"
 	"nose/internal/randwork"
 	"nose/internal/rubis"
@@ -233,6 +234,7 @@ func BenchmarkAdvisorSolve(b *testing.B) {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
 			opt := benchAdvisorOptions()
 			opt.Workers = workers
+			opt.Obs = obs.NewRegistry()
 			prepared, err := search.Prepare(w, enumRes, opt)
 			if err != nil {
 				b.Fatal(err)
@@ -243,6 +245,7 @@ func BenchmarkAdvisorSolve(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			reportSolverWork(b, opt.Obs)
 		})
 	}
 }
@@ -262,6 +265,7 @@ func BenchmarkAdvisorLargeRandwork(b *testing.B) {
 	}
 	opt := benchAdvisorOptions()
 	opt.Workers = 1
+	opt.Obs = obs.NewRegistry()
 	prepared, err := search.Prepare(w, enumRes, opt)
 	if err != nil {
 		b.Fatal(err)
@@ -272,6 +276,19 @@ func BenchmarkAdvisorLargeRandwork(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportSolverWork(b, opt.Obs)
+}
+
+// reportSolverWork reports the solver's deterministic work per
+// iteration, as counted in reg: simplex pivots, basis refactorizations
+// and branch-and-bound nodes. Unlike ns/op these repeat exactly from
+// run to run, so a solver change can show what it saved or kept.
+func reportSolverWork(b *testing.B, reg *obs.Registry) {
+	c := reg.Snapshot().Counters
+	n := float64(b.N)
+	b.ReportMetric(float64(c["lp.pivots"])/n, "pivots/op")
+	b.ReportMetric(float64(c["lp.refactors"])/n, "refactors/op")
+	b.ReportMetric(float64(c["bip.nodes"])/n, "nodes/op")
 }
 
 // BenchmarkAdvisorWorkers runs the full advisor end to end across
