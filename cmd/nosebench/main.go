@@ -67,7 +67,7 @@ func main() {
 	experiment := flag.String("experiment", "fig11", "fig11, fig12, fig13, budget, ablation, chaos, quorum, load, crashchaos or online")
 	users := flag.Int("users", 20_000, "RUBiS users (the paper used 200000)")
 	executions := flag.Int("executions", 50, "measured executions per transaction type")
-	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10; factors above 3 can take tens of minutes with the built-in solver)")
+	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10)")
 	maxPlans := flag.Int("max-plans", 24, "plan space bound per query for the advisor")
 	space := flag.Float64("space", 0, "advisor space budget in MB; 0 means unlimited")
 	maxNodes := flag.Int("max-nodes", 500, "branch and bound node budget per solve")
