@@ -40,9 +40,7 @@ import (
 	"os"
 	"time"
 
-	"nose/internal/drift"
 	"nose/internal/executor"
-	"nose/internal/migrate"
 	"nose/internal/nosedsl"
 	"nose/internal/obs"
 	"nose/internal/planner"
@@ -176,9 +174,11 @@ func main() {
 	}
 
 	if *driftReport {
-		if err := printDriftReport(w, rec, opts); err != nil {
+		report, err := api.Drift(w, rec, opts)
+		if err != nil {
 			fatal(err)
 		}
+		printDriftReport(report)
 	}
 
 	if *verbose {
@@ -200,47 +200,19 @@ func main() {
 	writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
 }
 
-// printDriftReport advises each declared mix and reports, against the
-// active mix's recommendation: the total-variation divergence between
-// the two statement mixes (would the default online detector call it
-// drift?) and the migration the schema change would require.
-func printDriftReport(w *workload.Workload, rec *search.Recommendation, opts search.Options) error {
-	mixes := w.Mixes()
-	if len(mixes) < 2 {
-		return fmt.Errorf("-drift-report needs at least two declared mixes; workload has %d", len(mixes))
-	}
-	active := w.ActiveMix
-	threshold := drift.Config{}.Normalized().Threshold
-	fmt.Printf("\nDrift report (active mix %q, detector threshold %.2f):\n", active, threshold)
-	for _, mix := range mixes {
-		if mix == active {
-			continue
-		}
-		div := drift.TotalVariation(mixWeights(w, mix), mixWeights(w, active))
+// printDriftReport prints one line per non-active mix of the report:
+// its divergence from the active mix, the detector's verdict, and the
+// migration the schema change would require.
+func printDriftReport(r *api.DriftReport) {
+	fmt.Printf("\nDrift report (active mix %q, detector threshold %.2f):\n", r.ActiveMix, r.Threshold)
+	for _, m := range r.Mixes {
 		verdict := "steady"
-		if div >= threshold {
+		if m.Drift {
 			verdict = "DRIFT"
 		}
-		other := *w
-		other.ActiveMix = mix
-		otherRec, err := search.Advise(&other, opts)
-		if err != nil {
-			return fmt.Errorf("advise mix %q: %w", mix, err)
-		}
-		build, drop := migrate.Diff(rec.Schema, otherRec.Schema)
 		fmt.Printf("  %-16s divergence %.3f  %-6s  migration builds %d, drops %d of %d column families\n",
-			mix, div, verdict, len(build), len(drop), rec.Schema.Len())
+			m.Mix, m.Divergence, verdict, m.Builds, m.Drops, len(r.Schema.ColumnFamilies))
 	}
-	return nil
-}
-
-// mixWeights returns a mix's normalized statement-label mix.
-func mixWeights(w *workload.Workload, mix string) map[string]float64 {
-	out := map[string]float64{}
-	for _, ws := range w.Statements {
-		out[workload.Label(ws.Statement)] += ws.WeightIn(mix)
-	}
-	return drift.Normalize(out)
 }
 
 // writeObservability flushes the run's metrics snapshot and Chrome

@@ -1,12 +1,13 @@
-// Package bip solves binary integer programs: linear programs in which
-// designated variables must take values in {0, 1}. The solver is a
-// best-first branch and bound over LP relaxations (solved by
-// internal/lp), with a rounding heuristic to find incumbents early and
-// most-fractional branching. Relaxations are solved by a pool of
-// workers over node batches whose width ramps deterministically with
-// the round number, so the search scales with cores while its
-// trajectory — and therefore the returned solution — stays
-// bit-identical for every worker count.
+// Package bip solves binary integer programs: linear programs whose
+// variables all take values in {0, 1}. The solver is a best-first
+// branch and bound over LP relaxations (solved by internal/lp), with a
+// rounding heuristic to find incumbents early and most-fractional
+// branching. A rounded or seeded 0-1 point needs no LP: it is checked
+// by evaluating its row activities directly (lp.Problem.Evaluate).
+// Relaxations are solved by a pool of workers over node batches whose
+// width ramps deterministically with the round number, so the search
+// scales with cores while its trajectory — and therefore the returned
+// solution — stays bit-identical for every worker count.
 //
 // Every expanded node snapshots its relaxation's optimal basis, and
 // both children re-solve from it with the dual simplex
@@ -32,33 +33,21 @@ import (
 	"nose/internal/par"
 )
 
-// Program is a 0-1 integer program under construction. It wraps an LP
-// and records which columns are binary.
+// Program is a 0-1 integer program under construction. It wraps the LP
+// relaxation, in which every column is bounded to [0, 1].
 type Program struct {
-	lp     *lp.Problem
-	binary []int
-	isBin  map[int]bool
+	lp *lp.Problem
 }
 
 // New returns an empty program.
-func New() *Program {
-	return &Program{lp: lp.NewProblem(), isBin: map[int]bool{}}
-}
+func New() *Program { return &Program{lp: lp.NewProblem()} }
 
 // AddRow appends a constraint row with activity bounds [lo, hi].
 func (p *Program) AddRow(lo, hi float64) int { return p.lp.AddRow(lo, hi) }
 
 // AddBinary appends a binary variable and returns its column index.
 func (p *Program) AddBinary(obj float64, entries ...lp.Entry) int {
-	col := p.lp.AddCol(obj, 0, 1, entries...)
-	p.binary = append(p.binary, col)
-	p.isBin[col] = true
-	return col
-}
-
-// AddCol appends a continuous variable.
-func (p *Program) AddCol(obj, lo, hi float64, entries ...lp.Entry) int {
-	return p.lp.AddCol(obj, lo, hi, entries...)
+	return p.lp.AddCol(obj, 0, 1, entries...)
 }
 
 // SetObj changes a column's objective coefficient.
@@ -108,10 +97,10 @@ type Options struct {
 	// Gap is the relative optimality gap at which search stops; zero
 	// means exact (up to numerical tolerance).
 	Gap float64
-	// Incumbent optionally seeds the search with a known feasible
-	// assignment of the binary variables (continuous variables are
-	// re-optimized). A good warm start lets the search prune
-	// aggressively from the first node.
+	// Incumbent optionally seeds the search with a known assignment of
+	// the variables: it is rounded at 0.5 and adopted when the 0-1
+	// point satisfies every row. A good warm start lets the search
+	// prune aggressively from the first node.
 	Incumbent []float64
 	// Workers is the number of goroutines solving LP relaxations
 	// concurrently; zero or negative means one. Nodes are expanded in
@@ -164,8 +153,7 @@ type Result struct {
 	HasSolution bool
 	// Objective is the incumbent objective value.
 	Objective float64
-	// X holds the incumbent variable values; binary variables are
-	// exactly 0 or 1.
+	// X holds the incumbent variable values, each exactly 0 or 1.
 	X []float64
 	// Nodes is the number of branch and bound nodes explored.
 	Nodes int
@@ -324,36 +312,21 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		return sol, err
 	}
 
-	// roundAndRepair rounds fractional binaries and re-solves with all
-	// of them fixed; a feasible result becomes an incumbent.
-	roundAndRepair := func(x []float64, fixes []fix, from *lp.Basis) error {
-		rounded := make([]fix, 0, len(p.binary))
-		rounded = append(rounded, fixes...)
-		fixed := map[int]bool{}
-		for _, f := range fixes {
-			fixed[f.col] = true
-		}
-		for _, col := range p.binary {
-			if fixed[col] {
-				continue
+	// tryRounded rounds x at 0.5 and adopts the 0-1 point when it
+	// satisfies every row. With every column fixed there is nothing
+	// left to optimize, so the point is evaluated rather than solved. A
+	// node's fixed columns sit exactly at their fixes in its relaxation,
+	// so they round to themselves.
+	tryRounded := func(x []float64) {
+		point := make([]float64, len(x))
+		for j, v := range x {
+			if v >= 0.5 {
+				point[j] = 1
 			}
-			v := 0.0
-			if x[col] >= 0.5 {
-				v = 1
-			}
-			rounded = append(rounded, fix{col: col, val: v})
 		}
-		// The parent basis stays dual feasible under any set of bound
-		// fixes, so even this all-binaries-fixed repair solve can
-		// warm-start.
-		sol, err := solveWith(0, rounded, from)
-		if err != nil {
-			return err
+		if obj, violation := p.lp.Evaluate(point); violation <= lp.InfeasTol {
+			tryIncumbent(point, obj)
 		}
-		if sol.Status == lp.Optimal {
-			tryIncumbent(sol.X, sol.Objective)
-		}
-		return nil
 	}
 
 	open := &nodeHeap{}
@@ -369,21 +342,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 
 	// Validate and adopt the seeded incumbent, if any.
 	if len(opt.Incumbent) == p.NumCols() {
-		fixes := make([]fix, 0, len(p.binary))
-		for _, col := range p.binary {
-			v := 0.0
-			if opt.Incumbent[col] >= 0.5 {
-				v = 1
-			}
-			fixes = append(fixes, fix{col: col, val: v})
-		}
-		sol, err := solveWith(0, fixes, nil)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status == lp.Optimal {
-			tryIncumbent(sol.X, sol.Objective)
-		}
+		tryRounded(opt.Incumbent)
 	}
 
 	rootSol, err := solveWith(0, nil, nil)
@@ -398,14 +357,11 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	case lp.IterationLimit:
 		return nil, fmt.Errorf("bip: relaxation hit the iteration limit")
 	}
-	if col := p.mostFractional(rootSol.X, nil); col == -1 {
+	if col := p.mostFractional(rootSol.X); col == -1 {
 		tryIncumbent(rootSol.X, rootSol.Objective)
 	} else {
-		rootBasis := solvers[0].Snapshot()
-		if err := roundAndRepair(rootSol.X, nil, rootBasis); err != nil {
-			return nil, err
-		}
-		push(rootSol.Objective, nil, rootBasis)
+		tryRounded(rootSol.X)
+		push(rootSol.Objective, nil, solvers[0].Snapshot())
 	}
 
 	// Expansion rounds: pop up to batchWidthFor(round) admissible
@@ -470,15 +426,13 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 				prunedC.Inc()
 				continue
 			}
-			col := p.mostFractional(sol.X, it.nd.fixes)
+			col := p.mostFractional(sol.X)
 			if col == -1 {
 				tryIncumbent(sol.X, sol.Objective)
 				continue
 			}
 			if it.num%16 == 1 {
-				if err := roundAndRepair(sol.X, it.nd.fixes, it.snap); err != nil {
-					return nil, err
-				}
+				tryRounded(sol.X)
 			}
 			for _, v := range [2]float64{1, 0} {
 				push(sol.Objective, append(append([]fix(nil), it.nd.fixes...), fix{col: col, val: v}), it.snap)
@@ -495,9 +449,10 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	res.HasSolution = true
 	res.Objective = incumbent
 	res.X = append([]float64(nil), incumbentX...)
-	// Snap binaries exactly.
-	for _, col := range p.binary {
-		if res.X[col] >= 0.5 {
+	// Snap to exact 0-1: an LP-integral incumbent may sit within
+	// intTol of its value.
+	for col, v := range res.X {
+		if v >= 0.5 {
 			res.X[col] = 1
 		} else {
 			res.X[col] = 0
@@ -517,23 +472,17 @@ func gapSlack(gap, incumbent float64) float64 {
 	return slack
 }
 
-// mostFractional returns the unfixed fractional binary column to
-// branch on, or -1 when all are integral. Among fractional variables
-// it prefers the most connected one (most constraint entries): in
+// mostFractional returns the fractional column to branch on, or -1
+// when all are integral; a fixed column's relaxation value is exactly
+// its fix, so it is never chosen. Among fractional variables it
+// prefers the most connected one (most constraint entries): in
 // selection problems those are the structural variables whose fixing
 // propagates furthest, closing the gap in far fewer nodes than pure
 // most-fractional branching.
-func (p *Program) mostFractional(x []float64, fixes []fix) int {
-	fixed := map[int]bool{}
-	for _, f := range fixes {
-		fixed[f.col] = true
-	}
+func (p *Program) mostFractional(x []float64) int {
 	best, bestScore := -1, 0.0
-	for _, col := range p.binary {
-		if fixed[col] {
-			continue
-		}
-		frac := math.Abs(x[col] - math.Round(x[col]))
+	for col, v := range x {
+		frac := math.Abs(v - math.Round(v))
 		if frac <= intTol {
 			continue
 		}

@@ -1,8 +1,10 @@
 // Package lp implements a linear programming solver: a bounded-variable
-// revised simplex method with a dense basis inverse, two phases
-// (artificial-variable feasibility search, then cost minimization),
-// Dantzig pricing with a Bland anti-cycling fallback, and periodic
-// refactorization for numerical stability.
+// revised simplex method over a product-form eta file (the basis
+// inverse kept as a sequence of sparse elementary column transforms),
+// two phases (artificial-variable feasibility search, then cost
+// minimization), Dantzig pricing with a Bland anti-cycling fallback,
+// periodic sparse refactorization for numerical stability, and dual
+// simplex warm starts from a saved basis.
 //
 // It exists because NoSE's schema optimizer solves binary integer
 // programs (paper §V); the original uses Gurobi, which has no pure-Go
@@ -107,6 +109,30 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
+}
+
+// InfeasTol is the total row violation above which phase 1 declares a
+// problem infeasible.
+const InfeasTol = 1e-6
+
+// Evaluate returns the objective at x, summed in column order as a
+// solve sums it, and x's total row violation Σ max(0, lo − a·x, a·x − hi).
+// Column bounds are ignored. With every column fixed at x, Solver.Solve
+// reports Optimal exactly when the violation is at most InfeasTol, and
+// its Objective is obj bit for bit, so a fully fixed program can be
+// checked in O(nnz) without a solve.
+func (p *Problem) Evaluate(x []float64) (obj, violation float64) {
+	act := make([]float64, len(p.rows))
+	for j, c := range p.cols {
+		obj += c.obj * x[j]
+		for _, e := range c.entries {
+			act[e.Row] += e.Coef * x[j]
+		}
+	}
+	for i, r := range p.rows {
+		violation += math.Max(0, math.Max(r.lo-act[i], act[i]-r.hi))
+	}
+	return obj, violation
 }
 
 // Status reports the outcome of a solve.

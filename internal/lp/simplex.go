@@ -373,19 +373,23 @@ func (s *Solver) solveCold(p *Problem) (*Solution, error) {
 
 	// Phase 1: minimize the sum of artificial variables.
 	phase1 := s.phase1
-	needPhase1 := false
+	// Phase 1 is skipped only when the start is feasible by both the
+	// per-row and the total tolerance, so rows that each miss by less
+	// than feasTol cannot add up to an unreported violation.
+	needPhase1, total := false, 0.0
 	for i := 0; i < m; i++ {
 		phase1[n+m+i] = 1
+		total += s.xb[i]
 		if s.xb[i] > feasTol {
 			needPhase1 = true
 		}
 	}
-	if needPhase1 {
+	if needPhase1 || total > InfeasTol {
 		st := s.iterate(phase1)
 		if st == IterationLimit {
 			return &Solution{Status: IterationLimit}, nil
 		}
-		if s.objectiveOf(phase1) > 1e-6 {
+		if s.objectiveOf(phase1) > InfeasTol {
 			return &Solution{Status: Infeasible}, nil
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,5 +159,47 @@ func TestCancelLeavesCacheUsable(t *testing.T) {
 	}
 	if rec.Schema.String() != pristine.Schema.String() {
 		t.Fatalf("schema after cancelled runs differs:\n%s\nvs pristine:\n%s", rec.Schema, pristine.Schema)
+	}
+}
+
+// countingCtx counts its Err calls and reports context.Canceled from
+// call limit+1 on; a negative limit never cancels.
+type countingCtx struct {
+	context.Context
+	calls atomic.Int64
+	limit int64
+}
+
+func (c *countingCtx) Err() error {
+	if n := c.calls.Add(1); c.limit >= 0 && n > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAdviseCancelInPhase2 cancels an advise at its first check inside
+// the second, family-minimizing solve: the context lets through exactly
+// as many checks as a phase-1-only advise makes. The cancel must come
+// back as the advise's error, not as the phase-1 recommendation.
+func TestAdviseCancelInPhase2(t *testing.T) {
+	w := loadDSL(t, "hotel.nose")
+	opt := seriesTestOptions()
+	opt.Workers = 1
+	opt.SkipMinimizeSchema = true
+	count := &countingCtx{Context: context.Background(), limit: -1}
+	opt.Ctx = count
+	if _, err := search.Advise(w, opt); err != nil {
+		t.Fatal(err)
+	}
+	phase1 := count.calls.Load()
+
+	opt.SkipMinimizeSchema = false
+	opt.Ctx = &countingCtx{Context: context.Background(), limit: phase1}
+	rec, err := search.Advise(w, opt)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v after %d phase-1 checks, want context.Canceled", err, phase1)
+	}
+	if rec != nil {
+		t.Fatal("cancelled advise returned a partial recommendation")
 	}
 }

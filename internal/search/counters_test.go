@@ -33,8 +33,8 @@ func TestSolverWorkCounters(t *testing.T) {
 		load func(*testing.T) *workload.Workload
 		want counts
 	}{
-		{name: "rubis-bidding", load: rubisBidding, want: counts{pivots: 619, refactors: 38, degenerate: 501, dual: 59, warm: 16, nodes: 26}},
-		{name: "hotel", load: hotelDSL, want: counts{pivots: 181, refactors: 54, degenerate: 74, dual: 82, warm: 29, nodes: 46}},
+		{name: "rubis-bidding", load: rubisBidding, want: counts{pivots: 368, refactors: 30, degenerate: 295, dual: 29, warm: 16, nodes: 26}},
+		{name: "hotel", load: hotelDSL, want: counts{pivots: 142, refactors: 48, degenerate: 48, dual: 82, warm: 29, nodes: 46}},
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {

@@ -149,7 +149,10 @@ func (p *Prepared) solve() (*solution, error) {
 	st = p.opt.stage("solve phase 2", &p.timings.BIPSolving)
 	res2, err := form2.prog.Solve(opts)
 	st.End()
-	if err == nil && res2.HasSolution {
+	if err != nil {
+		return nil, fmt.Errorf("search: phase 2 solve: %w", err)
+	}
+	if res2.HasSolution {
 		sol.res, sol.form = res2, form2
 		p.stats.Nodes += res2.Nodes
 	}

@@ -12,8 +12,11 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 
+	"nose/internal/drift"
+	"nose/internal/migrate"
 	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/workload"
@@ -245,6 +248,55 @@ func Series(w *workload.Workload, sr *search.SeriesRecommendation) *SeriesResult
 		out.Phases = append(out.Phases, wp)
 	}
 	return out
+}
+
+// Drift builds the drift report of w against rec, the active mix's
+// recommendation. It advises every other declared mix with opts and
+// reports, for each, the total-variation divergence between the two
+// statement mixes, whether the default online detector would call that
+// drift, and the migration from rec's schema to that mix's schema. The
+// nosed drift-report job encodes the report; nose -drift-report prints
+// it as text.
+func Drift(w *workload.Workload, rec *search.Recommendation, opts search.Options) (*DriftReport, error) {
+	mixes := w.Mixes()
+	if len(mixes) < 2 {
+		return nil, fmt.Errorf("drift report needs at least two declared mixes; workload has %d", len(mixes))
+	}
+	report := &DriftReport{
+		ActiveMix: w.ActiveMix,
+		Threshold: drift.Config{}.Normalized().Threshold,
+		Schema:    *Advise(w, rec),
+	}
+	for _, mix := range mixes {
+		if mix == w.ActiveMix {
+			continue
+		}
+		div := drift.TotalVariation(mixWeights(w, mix), mixWeights(w, w.ActiveMix))
+		other := *w
+		other.ActiveMix = mix
+		otherRec, err := search.Advise(&other, opts)
+		if err != nil {
+			return nil, fmt.Errorf("advise mix %q: %w", mix, err)
+		}
+		build, drop := migrate.Diff(rec.Schema, otherRec.Schema)
+		report.Mixes = append(report.Mixes, MixDrift{
+			Mix:        mix,
+			Divergence: div,
+			Drift:      div >= report.Threshold,
+			Builds:     len(build),
+			Drops:      len(drop),
+		})
+	}
+	return report, nil
+}
+
+// mixWeights returns a mix's normalized statement-label mix.
+func mixWeights(w *workload.Workload, mix string) map[string]float64 {
+	out := map[string]float64{}
+	for _, ws := range w.Statements {
+		out[workload.Label(ws.Statement)] += ws.WeightIn(mix)
+	}
+	return drift.Normalize(out)
 }
 
 // sortedByName orders column families by generated name, matching the

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"nose/internal/bip"
-	"nose/internal/drift"
 	"nose/internal/experiments"
-	"nose/internal/migrate"
 	"nose/internal/nosedsl"
 	"nose/internal/planner"
 	"nose/internal/rubis"
@@ -109,59 +107,23 @@ func (m *Manager) runSeries(ctx context.Context, j *Job) ([]byte, error) {
 	return api.Encode(api.Series(w, sr))
 }
 
-// runDriftReport mirrors cmd/nose's -drift-report: advise the active
-// mix, then for each other declared mix compute the total-variation
-// divergence, the default detector's verdict, and the migration diff
-// between the two schemas.
+// runDriftReport advises the active mix and encodes its drift report
+// (api.Drift), the report nose -drift-report prints.
 func (m *Manager) runDriftReport(ctx context.Context, j *Job) ([]byte, error) {
 	w, err := parseWorkload(j.req)
 	if err != nil {
 		return nil, err
-	}
-	mixes := w.Mixes()
-	if len(mixes) < 2 {
-		return nil, fmt.Errorf("drift-report needs at least two declared mixes; workload has %d", len(mixes))
 	}
 	opts := m.advisorOptions(ctx, j)
 	rec, err := search.Advise(w, opts)
 	if err != nil {
 		return nil, err
 	}
-	report := &api.DriftReport{
-		ActiveMix: w.ActiveMix,
-		Threshold: drift.Config{}.Normalized().Threshold,
-		Schema:    *api.Advise(w, rec),
-	}
-	for _, mix := range mixes {
-		if mix == w.ActiveMix {
-			continue
-		}
-		div := drift.TotalVariation(mixWeights(w, mix), mixWeights(w, w.ActiveMix))
-		other := *w
-		other.ActiveMix = mix
-		otherRec, err := search.Advise(&other, opts)
-		if err != nil {
-			return nil, fmt.Errorf("advise mix %q: %w", mix, err)
-		}
-		build, drop := migrate.Diff(rec.Schema, otherRec.Schema)
-		report.Mixes = append(report.Mixes, api.MixDrift{
-			Mix:        mix,
-			Divergence: div,
-			Drift:      div >= report.Threshold,
-			Builds:     len(build),
-			Drops:      len(drop),
-		})
+	report, err := api.Drift(w, rec, opts)
+	if err != nil {
+		return nil, err
 	}
 	return api.Encode(report)
-}
-
-// mixWeights returns a mix's normalized statement-label mix.
-func mixWeights(w *workload.Workload, mix string) map[string]float64 {
-	out := map[string]float64{}
-	for _, ws := range w.Statements {
-		out[workload.Label(ws.Statement)] += ws.WeightIn(mix)
-	}
-	return drift.Normalize(out)
 }
 
 // simulateResult is the simulate job's wire form: the regenerated

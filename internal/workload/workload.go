@@ -59,12 +59,16 @@ func (w *Workload) Add(s Statement, weight float64) *WeightedStatement {
 }
 
 // AddMixed appends a statement with per-mix weights; the default weight
-// is the first mix's weight.
+// is the weight of the mix whose name sorts first, so it is the same on
+// every run and, for statements that declare the same mixes, comes from
+// the same mix.
 func (w *Workload) AddMixed(s Statement, mixWeights map[string]float64) *WeightedStatement {
 	ws := &WeightedStatement{Statement: s, MixWeights: mixWeights}
-	for _, v := range mixWeights {
-		ws.Weight = v
-		break
+	first, found := "", false
+	for m, v := range mixWeights {
+		if !found || m < first {
+			first, ws.Weight, found = m, v, true
+		}
 	}
 	w.Statements = append(w.Statements, ws)
 	return ws

@@ -106,3 +106,19 @@ func TestOpHelpers(t *testing.T) {
 		t.Error("op rendering wrong")
 	}
 }
+
+// TestAddMixedDefaultWeight pins the default weight of a mixed statement
+// to the mix whose name sorts first. Map iteration order varies from run
+// to run, so taking whichever mix came first gave every statement of a
+// mix-only workload its own random default.
+func TestAddMixedDefaultWeight(t *testing.T) {
+	g := hotel.Graph()
+	q := workload.MustParseQuery(g, hotel.PrefixQuery)
+	for i := 0; i < 20; i++ {
+		w := workload.New(g)
+		ws := w.AddMixed(q, map[string]float64{"e": 5, "c": 3, "a": 1, "d": 4, "b": 2})
+		if ws.Weight != 1 {
+			t.Fatalf("default weight = %v, want 1 (mix \"a\")", ws.Weight)
+		}
+	}
+}
